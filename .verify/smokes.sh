@@ -105,7 +105,10 @@ grep -q "attribution: exact" "$OUT/inc_a.txt" || fail "no exact attribution"
 # --jobs 2 vs 1 and in file vs stdin mode, one response per request,
 # with per-query errors isolated. It doubles as the workload/mode smoke:
 # an MoE drill (q12), shrink-mode and MoE chaos runs (q13/q14) and a
-# shrink-mode drill (q15) answer ok. The byte-for-byte diff against
+# shrink-mode drill (q15) answer ok. q16–q20 sweep one `m` over fleets
+# of 1 000 to 9 000 machines and back: the recoverability memo's stored
+# group powers are extended (q16, q17), rebuilt one degree deeper (q18)
+# and resumed from (q19, q20). The byte-for-byte diff against
 # one-shot Scenario runs is tests/integration_service.rs. See
 # docs/SERVICE.md and docs/WORKLOADS.md.
 smoke "serve (canned batch: jobs 2 vs 1, file vs stdin)"
@@ -118,7 +121,8 @@ cmp "$OUT/serve_a.txt" "$OUT/serve_c.txt" || fail "serve differs file vs stdin"
   || fail "one response per request"
 grep -q '"id":"q10","kind":"drill","ok":false' "$OUT/serve_a.txt" || fail "q10 must fail"
 ! grep -q '"id":"q1","kind":"drill","ok":false' "$OUT/serve_a.txt" || fail "q1 must not fail"
-for q in q12:drill q13:chaos q14:chaos q15:drill; do
+for q in q12:drill q13:chaos q14:chaos q15:drill q16:recoverability q17:recoverability \
+  q18:recoverability q19:recoverability q20:recoverability; do
   grep -q "\"id\":\"${q%%:*}\",\"kind\":\"${q##*:}\",\"ok\":true" "$OUT/serve_a.txt" \
     || fail "${q%%:*} must answer ok"
 done

@@ -15,8 +15,10 @@
 //! *except* the `policy`
 //! section, whose `*_s` values are simulated time and therefore exact.
 //! The `scale` section gates work counters, not host speed: the DP kernel
-//! on its multiply-add count (`scale.dp.cells`) and the fleet DES on the
-//! timing wheel's cascaded and drained nodes
+//! on its multiply-add count (`scale.dp.cells`), the recoverability memo
+//! on the multiply-adds of its cold and warm curves
+//! (`scale.memo.cold_cells`, `scale.memo.warm_cells`) and the fleet DES on
+//! the timing wheel's cascaded and drained nodes
 //! (`scale.fleet_des.wheel_cascaded`, `scale.fleet_des.wheel_drained`).
 //! Their latencies and event rates (`*_ms`, `wall*`, `events_per_s`) are
 //! reported only. The `control_plane` section gates the KV op counts of
@@ -99,8 +101,9 @@ fn skipped(path: &str) -> bool {
         return leaf.contains("wall") || leaf.contains("speedup") || leaf.contains("per_s");
     }
     if path.starts_with("scale.") {
-        // The DP kernel and the fleet DES are gated on their work
-        // counters (`cells`, `wheel_cascaded`, `wheel_drained`); their
+        // The DP kernel, the memo and the fleet DES are gated on their
+        // work counters (`cells`, `cold_cells`, `warm_cells`,
+        // `wheel_cascaded`, `wheel_drained`); their
         // latencies, wall-clock readings and event rates stay volatile.
         // Counts, sim_days and the recovery probability are
         // deterministic and gate exactly.

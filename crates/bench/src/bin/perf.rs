@@ -1,6 +1,7 @@
 //! Perf-trajectory reporter for the deterministic parallel engine and the
-//! placement hot-path kernels. Writes `BENCH_harness.json` at the repo
-//! root (override with `--out FILE`).
+//! placement hot-path kernels. Prints the report and writes it to
+//! `BENCH_harness.json` at the repo root (override with `--out FILE`); a
+//! `--quick` run without `--out` only prints it.
 //!
 //! ```text
 //! cargo run --release -p gemini-bench --bin perf
@@ -33,7 +34,9 @@
 //!    with fingerprints asserted identical across backends. Recorded as
 //!    `des.*` gauges and the `"des"` report section.
 //! 6. **Fleet scale** — the analytic kernel at N = 10 000 (gated on its
-//!    multiply-add count) and a simulated month of 10 000 machines'
+//!    multiply-add count), the recoverability memo's cold N = 10 000 and
+//!    warm N = 9 998 curves (gated on the multiply-adds each spends), and
+//!    a simulated month of 10 000 machines'
 //!    heartbeats on the timing wheel (gated on the wheel's cascaded and
 //!    drained nodes); both wall clocks are medians over the reps with
 //!    min/max, reported only. The `"scale"` report section.
@@ -53,7 +56,7 @@ use gemini_core::placement::probability::{
     binomial, exact_recovery_probability, monte_carlo_recovery_probability_jobs,
     monte_carlo_recovery_probability_reference, FatalSets,
 };
-use gemini_core::{GeminiConfig, Placement};
+use gemini_core::{GeminiConfig, Placement, PlacementSpecKey, RecoveryMemo};
 use gemini_harness::experiments::{render_all_jobs, render_all_stats};
 use gemini_harness::par;
 use gemini_kvstore::KvStore;
@@ -116,13 +119,10 @@ fn main() {
         None => gemini_harness::par::default_jobs().max(cpus.max(2)),
     };
     let quick = cli.flag("--quick");
-    let out_path = cli
-        .value("--out")
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1)
-        })
-        .unwrap_or_else(|| "BENCH_harness.json".to_string());
+    let out_path = cli.report_path(quick).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    });
     cli.reject_unknown().unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1)
@@ -292,6 +292,29 @@ fn main() {
     );
     sink.gauge_set("scale.dp_ms", || dp_ms);
 
+    // The service's recoverability memo on the same spec: a cold curve
+    // stores a power of the group polynomial every 64 groups as it goes,
+    // so a warm curve one group smaller resumes from the last of them.
+    // Both are gated on the multiply-adds the memo spends.
+    let memo = RecoveryMemo::new();
+    let memo_warm_n = scale_n - 2;
+    let mut memo_cells = Vec::new();
+    for n in [scale_n, memo_warm_n] {
+        let key = PlacementSpecKey::mixed(n, 2).expect("valid placement spec");
+        let before = memo.cells();
+        let curve = memo.spec_curve(key, scale_k);
+        memo_cells.push(memo.cells() - before);
+        let (direct, _) = recovery_curve(&key.shape(), 2, scale_k);
+        assert!(
+            curve
+                .iter()
+                .zip(&direct)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "memo curve diverged from the kernel at N={n}"
+        );
+    }
+    let (memo_cold_cells, memo_warm_cells) = (memo_cells[0], memo_cells[1]);
+
     // A month of simulated time with 10k machines' heartbeat/timeout
     // chains live on the timing wheel — heavy-cancel at fleet population,
     // with the heartbeat period tuned so the processed-event budget
@@ -415,6 +438,9 @@ fn main() {
          \"dp_ms\": {dp_ms:.4},\n      \"dp_min_ms\": {dp_min_ms:.4},\n      \
          \"dp_max_ms\": {dp_max_ms:.4},\n      \
          \"probability\": {p_dp:.9}\n    }},\n    \
+         \"memo\": {{\n      \"n\": {scale_n},\n      \"warm_n\": {memo_warm_n},\n      \
+         \"k\": {scale_k},\n      \"cold_cells\": {memo_cold_cells},\n      \
+         \"warm_cells\": {memo_warm_cells}\n    }},\n    \
          \"fleet_des\": {{\n      \"machines\": {fleet_machines},\n      \
          \"events\": {fleet_processed},\n      \"sim_days\": {sim_days:.2},\n      \
          \"wheel_cascaded\": {wheel_cascaded},\n      \
@@ -445,10 +471,12 @@ fn main() {
     // Sanity: the report must be valid JSON.
     let parsed = gemini_telemetry::json::parse(&pretty);
     assert!(parsed.is_ok(), "perf report is not valid JSON: {parsed:?}");
-    std::fs::write(&out_path, format!("{pretty}\n")).unwrap_or_else(|e| {
-        eprintln!("error: writing {out_path}: {e}");
-        std::process::exit(1)
-    });
+    if let Some(out_path) = &out_path {
+        std::fs::write(out_path, format!("{pretty}\n")).unwrap_or_else(|e| {
+            eprintln!("error: writing {out_path}: {e}");
+            std::process::exit(1)
+        });
+    }
     println!("{pretty}");
     eprintln!(
         "figures: {figures_serial_s:.3}s -> {figures_par_s:.3}s at --jobs {jobs} \
@@ -472,6 +500,8 @@ fn main() {
     eprintln!(
         "scale: analytic N={scale_n} k={scale_k} in {dp_ms:.3} ms median \
          [{dp_min_ms:.3}, {dp_max_ms:.3}], {dp_cells} cells (p={p_dp:.6}); \
+         memo N={scale_n} cold {memo_cold_cells} cells, N={memo_warm_n} warm \
+         {memo_warm_cells} cells; \
          fleet DES {machines} machines x {sim_days:.0} simulated days at \
          {:.1}M events/s median [{fleet_min_s:.3}s, {fleet_max_s:.3}s], \
          {} cascaded / {} drained wheel nodes",
@@ -480,7 +510,9 @@ fn main() {
         fleet_work.drained,
         machines = FLEET_MACHINES,
     );
-    eprintln!("wrote {out_path}");
+    if let Some(out_path) = &out_path {
+        eprintln!("wrote {out_path}");
+    }
     if let Err(e) = targs.write(&sink) {
         eprintln!("error: writing telemetry outputs: {e}");
         std::process::exit(1)

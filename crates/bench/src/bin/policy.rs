@@ -41,7 +41,8 @@
 //!
 //! The summary is spliced into `BENCH_harness.json` (written by the
 //! `perf` bin; `--out FILE` overrides the path) as the `"policy"`
-//! section, replacing any previous one.
+//! section, replacing any previous one. A `--quick` run without `--out`
+//! prints the section and writes no file.
 
 use gemini_baselines::{fixed_mode_policies, fixed_policies, fixed_scheme_policies};
 use gemini_bench::BenchCli;
@@ -73,10 +74,7 @@ fn main() {
     let mut cli = BenchCli::from_env();
     let jobs = cli.telemetry.effective_jobs();
     let quick = cli.flag("--quick");
-    let out_path = cli
-        .value("--out")
-        .unwrap_or_else(|e| fail(&e))
-        .unwrap_or_else(|| "BENCH_harness.json".to_string());
+    let out_path = cli.report_path(quick).unwrap_or_else(|e| fail(&e));
     cli.reject_unknown().unwrap_or_else(|e| fail(&e));
     let seeds = if quick {
         cli.seeds_or(&[1])
@@ -259,22 +257,8 @@ fn main() {
         plans.len(),
         safety.len(),
     );
-    let existing = std::fs::read_to_string(&out_path)
-        .unwrap_or_else(|_| "{\n  \"bench\": \"harness\"\n}\n".to_string());
-    let base = match existing.find(",\n  \"policy\": {") {
-        Some(i) => existing[..i].to_string(),
-        None => match existing.rfind('}') {
-            Some(i) => existing[..i].trim_end().to_string(),
-            None => fail(&format!("{out_path} is not a JSON object")),
-        },
-    };
-    let merged = format!("{base},\n{section}\n}}\n");
-    if let Err(e) = gemini_telemetry::json::parse(&merged) {
-        fail(&format!("spliced bench report is not valid JSON: {e}"));
-    }
-    std::fs::write(&out_path, &merged)
-        .unwrap_or_else(|e| fail(&format!("writing {out_path}: {e}")));
-    eprintln!("spliced \"policy\" section into {out_path}");
+    gemini_bench::out::splice_section(out_path.as_deref(), "policy", &section)
+        .unwrap_or_else(|e| fail(&e));
 
     // ---- gates -----------------------------------------------------------
     let mut failed = false;

@@ -20,7 +20,8 @@
 //!    asserted `> 0`.
 //!
 //! The summary is spliced into `BENCH_harness.json` (`--out FILE`
-//! overrides) as the `"service"` section. Deterministic keys (`queries`,
+//! overrides; a `--quick` run without `--out` prints it and writes no
+//! file) as the `"service"` section. Deterministic keys (`queries`,
 //! `errors`, `cache_hit_rate`, the invariant booleans, and the jobs=1
 //! reference run's `answer_hits` and `executions`) are gated by
 //! benchgate at the standard tolerance; wall-clock keys (`wall_s`,
@@ -139,10 +140,7 @@ fn main() {
     let mut cli = BenchCli::from_env();
     let jobs = cli.telemetry.effective_jobs().max(2);
     let quick = cli.flag("--quick");
-    let out_path = cli
-        .value("--out")
-        .unwrap_or_else(|e| fail(&e))
-        .unwrap_or_else(|| "BENCH_harness.json".to_string());
+    let out_path = cli.report_path(quick).unwrap_or_else(|e| fail(&e));
     cli.reject_unknown().unwrap_or_else(|e| fail(&e));
 
     let lines = queries(quick);
@@ -234,20 +232,6 @@ fn main() {
          \"p99_us\": {p99}\n  }}",
         ref_stats.queries, ref_stats.errors, ref_stats.answer_hits, ref_stats.executions,
     );
-    let existing = std::fs::read_to_string(&out_path)
-        .unwrap_or_else(|_| "{\n  \"bench\": \"harness\"\n}\n".to_string());
-    let base = match existing.find(",\n  \"service\": {") {
-        Some(i) => existing[..i].to_string(),
-        None => match existing.rfind('}') {
-            Some(i) => existing[..i].trim_end().to_string(),
-            None => fail(&format!("{out_path} is not a JSON object")),
-        },
-    };
-    let merged = format!("{base},\n{section}\n}}\n");
-    if let Err(e) = gemini_telemetry::json::parse(&merged) {
-        fail(&format!("spliced bench report is not valid JSON: {e}"));
-    }
-    std::fs::write(&out_path, &merged)
-        .unwrap_or_else(|e| fail(&format!("writing {out_path}: {e}")));
-    eprintln!("spliced \"service\" section into {out_path}");
+    gemini_bench::out::splice_section(out_path.as_deref(), "service", &section)
+        .unwrap_or_else(|e| fail(&e));
 }

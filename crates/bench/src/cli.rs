@@ -156,6 +156,16 @@ impl BenchCli {
         }
     }
 
+    /// Consumes `--out FILE`: where a report-writing bin (`perf`, `policy`,
+    /// `service`) writes. Without `--out`, a full run writes
+    /// `BENCH_harness.json` and a `quick` run writes nothing, so a quick
+    /// local run never replaces the committed full-depth report.
+    pub fn report_path(&mut self, quick: bool) -> Result<Option<String>, String> {
+        Ok(self
+            .value("--out")?
+            .or_else(|| (!quick).then(|| "BENCH_harness.json".to_string())))
+    }
+
     /// The unconsumed remainder (positional operands), in input order.
     pub fn rest(&self) -> &[String] {
         &self.remainder
@@ -196,6 +206,17 @@ mod tests {
         assert_eq!(cli.seed, Some(7));
         assert!(cli.telemetry.trace_out.is_some());
         assert_eq!(cli.rest(), s(&["--plan", "root_churn", "--fast"]));
+    }
+
+    #[test]
+    fn only_a_full_run_defaults_to_the_committed_report() {
+        let path = |args: &[&str], quick| BenchCli::parse(s(args)).unwrap().report_path(quick);
+        assert_eq!(path(&[], false), Ok(Some("BENCH_harness.json".to_string())));
+        assert_eq!(path(&[], true), Ok(None));
+        for quick in [false, true] {
+            assert_eq!(path(&["--out", "b.json"], quick), Ok(Some("b.json".into())));
+        }
+        assert!(path(&["--out"], true).is_err());
     }
 
     #[test]

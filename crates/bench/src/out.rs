@@ -128,6 +128,35 @@ impl TelemetryArgs {
     }
 }
 
+/// Splices `section` (the `"name": {…}` member, indented two spaces)
+/// into the bench report at `out_path`, replacing a previous `name`
+/// section and everything after it; a missing report starts as
+/// `{"bench": "harness"}`. With no path (a `--quick` run without
+/// `--out`) the section is printed on stdout as its own object and no file
+/// is written.
+pub fn splice_section(out_path: Option<&str>, name: &str, section: &str) -> Result<(), String> {
+    let Some(out_path) = out_path else {
+        println!("{{\n{section}\n}}");
+        return Ok(());
+    };
+    let existing = std::fs::read_to_string(out_path)
+        .unwrap_or_else(|_| "{\n  \"bench\": \"harness\"\n}\n".to_string());
+    let base = match existing.find(&format!(",\n  \"{name}\": {{")) {
+        Some(i) => &existing[..i],
+        None => match existing.rfind('}') {
+            Some(i) => existing[..i].trim_end(),
+            None => return Err(format!("{out_path} is not a JSON object")),
+        },
+    };
+    let merged = format!("{base},\n{section}\n}}\n");
+    if let Err(e) = gemini_telemetry::json::parse(&merged) {
+        return Err(format!("spliced bench report is not valid JSON: {e}"));
+    }
+    std::fs::write(out_path, &merged).map_err(|e| format!("writing {out_path}: {e}"))?;
+    eprintln!("spliced \"{name}\" section into {out_path}");
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +185,21 @@ mod tests {
         assert_eq!(rest, s(&["{\"model\":\"x\"}", "--fast"]));
         assert!(args.any());
         assert!(args.sink().is_enabled());
+    }
+
+    #[test]
+    fn a_spliced_section_replaces_its_predecessor() {
+        let path = std::env::temp_dir().join(format!("splice_{}.json", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        std::fs::write(&path, "{\n  \"bench\": \"harness\"\n}\n").unwrap();
+        splice_section(Some(path_str), "policy", "  \"policy\": {\"cells\": 1}").unwrap();
+        splice_section(Some(path_str), "policy", "  \"policy\": {\"cells\": 2}").unwrap();
+        let merged = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            merged,
+            "{\n  \"bench\": \"harness\",\n  \"policy\": {\"cells\": 2}\n}\n"
+        );
     }
 
     #[test]

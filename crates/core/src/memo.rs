@@ -9,6 +9,14 @@
 //! expensive to recompute per tenant at fleet scale. The service's answer
 //! memo is another: whole responses keyed by canonical query.
 //!
+//! A curve the memo does not hold yet shares work too. Algorithm 1's
+//! shape starts with `G` all-to-all groups of `m` machines, so every fleet
+//! size with the same `m` multiplies out the same powers `P_m^g` of one
+//! group polynomial first. [`RecoveryMemo`] stores one such power every
+//! [`POWER_STRIDE`] groups; a cold curve resumes from the stored power at
+//! or below `G` and convolves fewer than [`POWER_STRIDE`] groups more
+//! before the ring tail.
+//!
 //! Determinism: the memo returns exactly what the underlying kernel
 //! returns. Only the cost (and the `service.*` counters) depend on
 //! sharing.
@@ -16,8 +24,8 @@
 //! [`analytic`]: crate::placement::analytic
 
 use crate::error::GeminiError;
-use crate::placement::analytic::{analytic_recovery_probability, recovery_curve};
-use crate::placement::{GroupRun, Placement, PlacementStrategy};
+use crate::placement::analytic::{group_polynomial, TruncatedProduct};
+use crate::placement::{GroupKind, GroupRun, Placement, PlacementStrategy};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -164,11 +172,45 @@ impl PlacementSpecKey {
 /// entry is a few dozen bytes, so the worst case is well under a MiB.
 pub const RECOVERY_MEMO_CAP: usize = 16_384;
 
+/// Groups between two stored powers of a group polynomial: a cold curve
+/// convolves fewer than this many all-to-all groups past a stored power.
+pub const POWER_STRIDE: usize = 64;
+
+/// Bound on the coefficients all stored powers hold together (8 bytes
+/// each, so 512 KiB). Past it, powers are computed but no longer stored.
+pub const POWER_TABLE_COEFFS: usize = 1 << 16;
+
+/// Stored powers of the all-to-all polynomial of one group size.
+struct PowerTable {
+    /// Truncation degree of every stored power: the deepest `max_k` asked
+    /// so far. A deeper question rebuilds the table.
+    depth: usize,
+    /// `powers[i]` holds the possibly-nonzero coefficients of the product
+    /// of `(i + 1) · POWER_STRIDE` groups.
+    powers: Vec<Vec<f64>>,
+}
+
+impl PowerTable {
+    fn coefficients(&self) -> usize {
+        self.powers.iter().map(Vec::len).sum()
+    }
+}
+
+/// The stored powers of every group size, and their coefficient total.
+#[derive(Default)]
+struct PowerTables {
+    by_size: BTreeMap<usize, PowerTable>,
+    stored: usize,
+}
+
 /// The placement-recoverability memo: `(placement spec, k) →
 /// P(recovery | k failures)` over the exact analytic kernel, shared by
-/// every query evaluating the same placement spec.
+/// every query evaluating the same placement spec, plus the stored group
+/// powers that make a cold curve cheap.
 pub struct RecoveryMemo {
     cache: MemoCache<(PlacementSpecKey, usize), f64>,
+    powers: Mutex<PowerTables>,
+    cells: AtomicU64,
 }
 
 impl Default for RecoveryMemo {
@@ -178,20 +220,27 @@ impl Default for RecoveryMemo {
 }
 
 impl RecoveryMemo {
-    /// An empty memo with the default capacity bound.
+    /// An empty memo with the default capacity bounds.
     pub fn new() -> RecoveryMemo {
         RecoveryMemo {
             cache: MemoCache::new(RECOVERY_MEMO_CAP),
+            powers: Mutex::new(PowerTables::default()),
+            cells: AtomicU64::new(0),
         }
     }
 
     /// `P(recovery | k failures)` for this placement, memoized by
     /// canonical spec. Bit-identical to calling
-    /// [`analytic_recovery_probability`] directly.
+    /// [`analytic_recovery_probability`](crate::placement::analytic::analytic_recovery_probability)
+    /// directly.
     pub fn probability(&self, placement: &Placement, k: usize) -> f64 {
-        let key = (PlacementSpecKey::of(placement), k);
-        self.cache
-            .get_or_insert_with(key, || analytic_recovery_probability(placement, k))
+        let key = PlacementSpecKey::of(placement);
+        self.cache.get_or_insert_with((key, k), || {
+            if k > key.machines {
+                return 0.0;
+            }
+            self.kernel_curve(key.machines, &placement.shape(), key.replicas, k)[k]
+        })
     }
 
     /// The whole curve `k = 0 ..= max_k` (each point memoized), with the
@@ -211,7 +260,7 @@ impl RecoveryMemo {
     fn curve_of(&self, key: PlacementSpecKey, shape: &[GroupRun], max_k: usize) -> Vec<f64> {
         let mut curve: Vec<Option<f64>> = (0..=max_k).map(|k| self.cache.get(&(key, k))).collect();
         if let Some(deepest) = curve.iter().rposition(Option::is_none) {
-            let (fresh, _cells) = recovery_curve(shape, key.replicas, deepest);
+            let fresh = self.kernel_curve(key.machines, shape, key.replicas, deepest);
             for (k, p) in fresh.into_iter().enumerate() {
                 if curve[k].is_none() {
                     self.cache.insert((key, k), p);
@@ -220,6 +269,110 @@ impl RecoveryMemo {
             }
         }
         curve.into_iter().flatten().collect()
+    }
+
+    /// [`recovery_curve`](crate::placement::analytic::recovery_curve) of
+    /// `shape`, bit for bit, with a leading run of all-to-all groups
+    /// resumed from the stored powers.
+    fn kernel_curve(
+        &self,
+        machines: usize,
+        shape: &[GroupRun],
+        replicas: usize,
+        max_k: usize,
+    ) -> Vec<f64> {
+        let (mut product, tail) = match shape.split_first() {
+            Some((run, tail)) if run.kind == GroupKind::Group => {
+                (self.group_powers(run.size, run.count, max_k), tail)
+            }
+            _ => (TruncatedProduct::new(&[1.0], max_k), shape),
+        };
+        product.apply_runs(tail, replicas);
+        let (curve, cells) = product.into_curve(machines);
+        self.cells.fetch_add(cells, Ordering::Relaxed);
+        curve
+    }
+
+    /// The product of `groups` all-to-all groups of `size` machines,
+    /// truncated at `max_k`. It resumes from the last stored power at or
+    /// below `groups` and stores, capacity permitting, the powers it
+    /// passes beyond the table's end. Those are computed at the table's
+    /// depth; a table shallower than `max_k` is rebuilt at `max_k`. The
+    /// lock is held to read and to publish, never while convolving.
+    fn group_powers(&self, size: usize, groups: usize, max_k: usize) -> TruncatedProduct {
+        let (depth, start, resume, mut room) = {
+            let tables = self.powers.lock().expect("power tables poisoned");
+            let room = POWER_TABLE_COEFFS - tables.stored;
+            match tables.by_size.get(&size) {
+                Some(table) if table.depth >= max_k => {
+                    let start = table.powers.len().min(groups / POWER_STRIDE);
+                    let resume = start.checked_sub(1).map(|i| table.powers[i].clone());
+                    (table.depth, start, resume, room)
+                }
+                shallower => (
+                    max_k,
+                    0,
+                    None,
+                    room + shallower.map_or(0, PowerTable::coefficients),
+                ),
+            }
+        };
+        let mut product = TruncatedProduct::new(resume.as_deref().unwrap_or(&[1.0]), depth);
+        let poly = group_polynomial(GroupKind::Group, size, size, depth);
+        let mut done = start * POWER_STRIDE;
+        let mut fresh: Vec<Vec<f64>> = Vec::new();
+        while done + POWER_STRIDE <= groups {
+            product.apply(&poly, POWER_STRIDE);
+            done += POWER_STRIDE;
+            let power = product.coefficients();
+            if power.len() > room {
+                break;
+            }
+            room -= power.len();
+            fresh.push(power.to_vec());
+        }
+        product.truncate(max_k);
+        product.apply(&poly, groups - done);
+        if !fresh.is_empty() {
+            self.publish(size, depth, start, fresh);
+        }
+        product
+    }
+
+    /// Appends `fresh`, the powers from index `start` on at `depth`, to the
+    /// table of `size`, replacing a shallower table; a deeper table or one
+    /// that another caller extended meanwhile keeps what it has.
+    fn publish(&self, size: usize, depth: usize, start: usize, fresh: Vec<Vec<f64>>) {
+        let mut tables = self.powers.lock().expect("power tables poisoned");
+        let PowerTables { by_size, stored } = &mut *tables;
+        let table = by_size.entry(size).or_insert_with(|| PowerTable {
+            depth,
+            powers: Vec::new(),
+        });
+        if table.depth < depth {
+            *stored -= table.coefficients();
+            table.depth = depth;
+            table.powers.clear();
+        }
+        if table.depth != depth {
+            return;
+        }
+        // Powers only ever grow at one depth, so the table still holds the
+        // `start` powers this caller resumed after.
+        let known = table.powers.len() - start;
+        for power in fresh.into_iter().skip(known) {
+            if *stored + power.len() > POWER_TABLE_COEFFS {
+                break;
+            }
+            *stored += power.len();
+            table.powers.push(power);
+        }
+    }
+
+    /// Multiply-adds the kernel has spent on this memo's misses, stored
+    /// powers included.
+    pub fn cells(&self) -> u64 {
+        self.cells.load(Ordering::Relaxed)
     }
 
     /// Cache hits so far.
@@ -241,6 +394,7 @@ impl RecoveryMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::analytic::{analytic_recovery_probability, recovery_curve};
 
     #[test]
     fn memo_counts_hits_and_misses() {
@@ -337,6 +491,89 @@ mod tests {
         // The placement form shares the spec form's points.
         assert_eq!(memo.curve(&placement, 6), longer);
         assert_eq!((memo.hits(), memo.misses()), (17, 7));
+    }
+
+    /// The memo's curve for `(n, m)` against a fresh product, bit for bit.
+    fn assert_kernel_curve(memo: &RecoveryMemo, n: usize, m: usize, max_k: usize) {
+        let key = PlacementSpecKey::mixed(n, m).unwrap();
+        let (want, _) = recovery_curve(&key.shape(), m, max_k);
+        let got = memo.spec_curve(key, max_k);
+        assert_eq!(got.len(), want.len());
+        for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "N={n} m={m} max_k={max_k} k={k}");
+        }
+    }
+
+    fn table(memo: &RecoveryMemo, size: usize) -> (usize, usize) {
+        let tables = memo.powers.lock().unwrap();
+        let t = &tables.by_size[&size];
+        (t.depth, t.powers.len())
+    }
+
+    #[test]
+    fn a_cold_curve_resumes_from_the_stored_powers() {
+        let memo = RecoveryMemo::new();
+        assert_kernel_curve(&memo, 10_000, 2, 7);
+        let (_, fresh_cells) = recovery_curve(&PlacementStrategy::Group.shape(10_000, 2), 2, 7);
+        assert_eq!(
+            memo.cells(),
+            fresh_cells,
+            "the first curve stores as it goes"
+        );
+        assert_eq!(table(&memo, 2), (7, 5_000 / POWER_STRIDE));
+        // 4 999 groups: the stored power of 4 992, then 7 convolutions.
+        assert_kernel_curve(&memo, 9_998, 2, 7);
+        let warm = memo.cells() - fresh_cells;
+        assert!(warm <= 7 * 8 * 2, "warm curve spent {warm} cells");
+        // A Mixed spec shares the Group run and adds its ring tail.
+        assert_kernel_curve(&memo, 9_001, 2, 7);
+        assert_eq!(table(&memo, 2), (7, 5_000 / POWER_STRIDE));
+    }
+
+    #[test]
+    fn the_tables_extend_replay_and_rebuild_bit_for_bit() {
+        let memo = RecoveryMemo::new();
+        // Extension from nothing, then past the end, then a replay on a
+        // shrinking fleet, all at depth 4.
+        for n in [1_000, 9_000, 3_001, 200] {
+            assert_kernel_curve(&memo, n, 3, 4);
+        }
+        assert_eq!(table(&memo, 3), (4, 3_000 / POWER_STRIDE));
+        // A deeper question rebuilds the table at its depth.
+        assert_kernel_curve(&memo, 5_000, 3, 9);
+        assert_eq!(table(&memo, 3), (9, 1_666 / POWER_STRIDE));
+        // Shallower questions resume from the deeper powers.
+        for n in [4_000, 12_000, 7] {
+            assert_kernel_curve(&memo, n, 3, 2);
+        }
+        assert_eq!(table(&memo, 3), (9, 4_000 / POWER_STRIDE));
+        // A ring has no group run and stores nothing.
+        let ring = PlacementSpecKey {
+            strategy: PlacementStrategy::Ring,
+            machines: 500,
+            replicas: 3,
+        };
+        let (want, _) = recovery_curve(&ring.shape(), 3, 5);
+        assert_eq!(memo.spec_curve(ring, 5), want);
+    }
+
+    #[test]
+    fn stored_powers_stay_within_their_bound() {
+        let memo = RecoveryMemo::new();
+        for m in 1..=6 {
+            assert_kernel_curve(&memo, 20_000 - 20_000 % m, m, 256);
+        }
+        let stored = memo.powers.lock().unwrap().stored;
+        assert!(stored <= POWER_TABLE_COEFFS, "{stored} coefficients stored");
+        assert!(
+            stored + 257 > POWER_TABLE_COEFFS,
+            "the bound was not reached"
+        );
+        // Past the bound the curves are computed, not stored, and exact.
+        for m in 1..=6 {
+            assert_kernel_curve(&memo, 19_999, m, 256);
+        }
+        assert_eq!(memo.powers.lock().unwrap().stored, stored);
     }
 
     #[test]

@@ -49,9 +49,14 @@
 //!
 //! Complexity is per curve, not per point: `O(groups · max_k · m)`
 //! multiply-adds for the convolution (the kernel returns the exact count)
-//! plus `O(max_k²)` binomials per distinct ring polynomial — about 75 000
+//! plus `O(max_k²)` binomials per distinct ring polynomial — 74 951
 //! multiply-adds at `N = 10 000, m = 2, max_k = 7`, versus an enumeration
-//! that would outlive the universe.
+//! that would outlive the universe. Every fleet size with the same `m`
+//! starts with the same powers of one all-to-all group polynomial, so the
+//! service's [`RecoveryMemo`](crate::RecoveryMemo) stores one power every
+//! 64 groups and resumes from it with this loop (`TruncatedProduct`):
+//! after the `N = 10 000` curve, the `N = 9 998` one costs 105
+//! multiply-adds.
 //!
 //! **Exactness.** All intermediate values are nonnegative integers (the
 //! inclusion–exclusion partial sums are integers too), and for `N ≤ 30`,
@@ -148,31 +153,90 @@ pub(crate) fn convolve_truncated(a: &[f64], b: &[f64], out: &mut [f64]) -> u64 {
     cells
 }
 
-/// `P(recovery | k failures)` for every `k = 0..=max_k` on a placement of
-/// this `shape`, and the multiply-adds performed. One product of the group
-/// polynomials, truncated at `max_k` on two reused buffers, holds every
-/// safe-subset count; coefficient `k` is then divided by `C(N, k)`. Point
-/// `k` is bit-identical to a product truncated at `k`.
-pub fn recovery_curve(shape: &[GroupRun], replicas: usize, max_k: usize) -> (Vec<f64>, u64) {
-    let mut conv = vec![0.0f64; max_k + 1];
-    conv[0] = 1.0;
-    let mut next = vec![0.0f64; max_k + 1];
-    let mut degree = 0usize; // highest possibly-nonzero degree so far
-    let mut cells = 0u64;
-    for run in shape {
-        let poly = group_polynomial(run.kind, run.size, replicas, max_k);
-        for _ in 0..run.count {
-            cells += convolve_truncated(&conv[..=degree], &poly, &mut next);
-            std::mem::swap(&mut conv, &mut next);
-            degree = (degree + poly.len() - 1).min(max_k);
+/// A product of group polynomials truncated at degree `max_k`, built one
+/// group at a time on two reused buffers: the one convolution loop behind
+/// [`recovery_curve`] and the recoverability memo's stored powers
+/// ([`RecoveryMemo`](crate::RecoveryMemo)). Because coefficient `j` is
+/// summed the same way at any truncation degree, a product resumed from a
+/// deeper one's coefficients goes on bit for bit as if it had been
+/// truncated at `max_k` from the start.
+pub(crate) struct TruncatedProduct {
+    conv: Vec<f64>,
+    next: Vec<f64>,
+    /// Highest possibly-nonzero degree so far.
+    degree: usize,
+    cells: u64,
+}
+
+impl TruncatedProduct {
+    /// The product whose low coefficients are `coefficients` (`[1.0]` for
+    /// the empty product), truncated at `max_k`.
+    pub(crate) fn new(coefficients: &[f64], max_k: usize) -> TruncatedProduct {
+        let mut conv = vec![0.0f64; max_k + 1];
+        let kept = coefficients.len().min(max_k + 1);
+        conv[..kept].copy_from_slice(&coefficients[..kept]);
+        TruncatedProduct {
+            next: vec![0.0f64; max_k + 1],
+            conv,
+            degree: kept.max(1) - 1,
+            cells: 0,
         }
     }
-    let n: usize = shape.iter().map(|run| run.size * run.count).sum();
-    // Counts above degree N stay 0: losing every machine is fatal.
-    for (k, p) in conv.iter_mut().enumerate().take(n + 1).skip(1) {
-        *p /= binomial(n as u64, k as u64);
+
+    /// Multiplies `count` more groups with polynomial `poly` in.
+    pub(crate) fn apply(&mut self, poly: &[f64], count: usize) {
+        let max_k = self.conv.len() - 1;
+        for _ in 0..count {
+            self.cells += convolve_truncated(&self.conv[..=self.degree], poly, &mut self.next);
+            std::mem::swap(&mut self.conv, &mut self.next);
+            self.degree = (self.degree + poly.len() - 1).min(max_k);
+        }
     }
-    (conv, cells)
+
+    /// Multiplies in every group of `runs`, in order.
+    pub(crate) fn apply_runs(&mut self, runs: &[GroupRun], replicas: usize) {
+        let max_k = self.conv.len() - 1;
+        for run in runs {
+            self.apply(
+                &group_polynomial(run.kind, run.size, replicas, max_k),
+                run.count,
+            );
+        }
+    }
+
+    /// The possibly-nonzero coefficients, lowest degree first.
+    pub(crate) fn coefficients(&self) -> &[f64] {
+        &self.conv[..=self.degree]
+    }
+
+    /// Drops every coefficient above `max_k` (no deeper than now).
+    pub(crate) fn truncate(&mut self, max_k: usize) {
+        self.conv.truncate(max_k + 1);
+        self.next.truncate(max_k + 1);
+        self.degree = self.degree.min(max_k);
+    }
+
+    /// The product as `P(recovery | k failures)` over `machines` machines
+    /// (coefficient `k` divided by `C(N, k)`), and the multiply-adds spent.
+    pub(crate) fn into_curve(self, machines: usize) -> (Vec<f64>, u64) {
+        let mut conv = self.conv;
+        // Counts above degree N stay 0: losing every machine is fatal.
+        for (k, p) in conv.iter_mut().enumerate().take(machines + 1).skip(1) {
+            *p /= binomial(machines as u64, k as u64);
+        }
+        (conv, self.cells)
+    }
+}
+
+/// `P(recovery | k failures)` for every `k = 0..=max_k` on a placement of
+/// this `shape`, and the multiply-adds performed. One product of the group
+/// polynomials, truncated at `max_k`, holds every safe-subset count;
+/// coefficient `k` is then divided by `C(N, k)`. Point `k` is
+/// bit-identical to a product truncated at `k`.
+pub fn recovery_curve(shape: &[GroupRun], replicas: usize, max_k: usize) -> (Vec<f64>, u64) {
+    let mut product = TruncatedProduct::new(&[1.0], max_k);
+    product.apply_runs(shape, replicas);
+    product.into_curve(shape.iter().map(|run| run.size * run.count).sum())
 }
 
 /// Exact probability that `k` simultaneous uniform machine failures leave

@@ -6,7 +6,7 @@ use gemini_check::prelude::*;
 use gemini_core::codec;
 use gemini_core::partition::{checkpoint_partition, PartitionInput};
 use gemini_core::pipeline::run_pipeline;
-use gemini_core::placement::analytic::analytic_recovery_probability;
+use gemini_core::placement::analytic::{analytic_recovery_probability, recovery_curve};
 use gemini_core::placement::probability::{
     binomial, corollary1_probability, exact_recovery_probability, host_sets_recovery_probability,
     theorem1_gap_bound, theorem1_upper_bound,
@@ -18,7 +18,10 @@ use gemini_core::policy::{
 };
 use gemini_core::retention::{PersistentLedger, RetentionPolicy};
 use gemini_core::wasted::WastedTimeModel;
-use gemini_core::{HierarchicalStore, Placement, RecoveryCase, RecoveryPlanner, StorageTier};
+use gemini_core::{
+    HierarchicalStore, Placement, PlacementSpecKey, RecoveryCase, RecoveryMemo, RecoveryPlanner,
+    StorageTier,
+};
 use gemini_net::{Bandwidth, ByteSize, TransferCost};
 use gemini_sim::{DetRng, SimDuration, SimTime};
 use std::collections::BTreeSet;
@@ -632,5 +635,66 @@ proptest! {
         prop_assert!(max - min <= 1, "unbalanced adoptions: {load:?}");
         // Planning is a pure function of the (store, failures) pair.
         prop_assert_eq!(format!("{plan:?}"), format!("{:?}", build()));
+    }
+}
+
+fn curve_bits(curve: &[f64]) -> Vec<u64> {
+    curve.iter().map(|p| p.to_bits()).collect()
+}
+
+/// One recoverability question: `(N, max_k)` at the sequence's `m`.
+type Question = (usize, usize);
+
+/// A question sequence at one `m`: random questions (`N ≤ 20 000`, Group
+/// when `divisible`, else Mixed where `m ∤ N`), then one on a fleet half
+/// the largest so far (a shrinking `G`) and one a degree deeper than any
+/// so far (a rebuild).
+fn question_sequence(m: usize, drawn: &[(usize, bool, usize)]) -> Vec<Question> {
+    let mut questions: Vec<Question> = drawn
+        .iter()
+        .map(|&(n, divisible, max_k)| {
+            let n = n.max(m);
+            (if divisible { n - n % m } else { n }, max_k)
+        })
+        .collect();
+    let largest = questions.iter().map(|q| q.0).max().unwrap_or(m);
+    let deepest = questions.iter().map(|q| q.1).max().unwrap_or(0);
+    questions.push(((largest / 2).max(m), drawn[0].2));
+    questions.push((largest, deepest + 1));
+    questions
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The memo's curves, which resume from stored group powers, equal a
+    /// fresh kernel product bit for bit over question sequences that
+    /// extend, replay and rebuild the tables; two workers sharing one memo
+    /// answer exactly what one worker does.
+    #[test]
+    fn memo_curves_equal_the_kernel_over_question_sequences(
+        m in 1usize..=6,
+        drawn in prop::collection::vec((1usize..=20_000, prop::bool::ANY, 0usize..=63), 1..6),
+    ) {
+        let questions = question_sequence(m, &drawn);
+        let keys: Vec<PlacementSpecKey> = questions
+            .iter()
+            .map(|&(n, _)| PlacementSpecKey::mixed(n, m).unwrap())
+            .collect();
+        let memo = RecoveryMemo::new();
+        let serial: Vec<Vec<u64>> = keys
+            .iter()
+            .zip(&questions)
+            .map(|(&key, &(_, max_k))| curve_bits(&memo.spec_curve(key, max_k)))
+            .collect();
+        for ((key, &(n, max_k)), got) in keys.iter().zip(&questions).zip(&serial) {
+            let (want, _) = recovery_curve(&key.shape(), m, max_k);
+            prop_assert_eq!(got, &curve_bits(&want), "N={} m={} max_k={}", n, m, max_k);
+        }
+        let shared = RecoveryMemo::new();
+        let parallel = gemini_parallel::par_map(2, keys.len(), |i| {
+            curve_bits(&shared.spec_curve(keys[i], questions[i].1))
+        });
+        prop_assert_eq!(parallel, serial);
     }
 }

@@ -23,8 +23,15 @@
 //!    ([`gemini_core::PlacementSpecKey::mixed`], which shares Algorithm
 //!    1's one strategy rule with `Placement::mixed`); a memo hit costs
 //!    O(max_k). A miss never builds the O(N) placement either: the key's
-//!    group shape feeds one truncated convolution, O(groups · max_k · m),
-//!    that yields every missing point of the curve.
+//!    group shape feeds one truncated convolution that yields every
+//!    missing point of the curve. Its run of `G` all-to-all groups resumes
+//!    from the memo's stored group-polynomial powers (one every
+//!    [`gemini_core::memo::POWER_STRIDE`] groups, shared by every fleet size
+//!    with the same `m`), so a miss convolves fewer than 64 groups plus
+//!    the ring tail: at `N = 9 998, m = 2, max_k = 7`, 105 multiply-adds
+//!    instead of 74 936. Only the first miss to reach a fleet size pays
+//!    O(groups · max_k · m) up to it. The engine starts with no stored
+//!    powers.
 //!
 //! A query that runs a simulation owns plain values: a drill runs the
 //! [`DrillConfig`] its query parsed into, and a chaos or lookahead query
