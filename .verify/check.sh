@@ -4,6 +4,7 @@
 #   cargo fmt --all --check
 #   cargo clippy --offline --workspace --all-targets -- -D warnings
 #   cargo build --release --offline
+#   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 #   cargo test -q --offline
 #   .verify/smokes.sh
 #
@@ -12,7 +13,7 @@
 #
 # Usage:
 #   .verify/check.sh           # everything
-#   .verify/check.sh build     # fmt, clippy and the release build only
+#   .verify/check.sh build     # fmt, clippy, the release build and rustdoc only
 set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
@@ -26,6 +27,8 @@ note "clippy"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 note "build"
 cargo build -q --release --offline
+note "doc"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 if [ "${1:-all}" = build ]; then
   echo "VERIFY: BUILD OK"
   exit 0

@@ -129,11 +129,11 @@ impl TelemetryArgs {
 }
 
 /// Splices `section` (the `"name": {…}` member, indented two spaces)
-/// into the bench report at `out_path`, replacing a previous `name`
-/// section and everything after it; a missing report starts as
-/// `{"bench": "harness"}`. With no path (a `--quick` run without
-/// `--out`) the section is printed on stdout as its own object and no file
-/// is written.
+/// into the bench report at `out_path`: a previous `name` section is
+/// replaced in place, keeping the members after it, and a new one is
+/// appended; a missing report starts as `{"bench": "harness"}`. With no
+/// path (a `--quick` run without `--out`) the section is printed on stdout
+/// as its own object and no file is written.
 pub fn splice_section(out_path: Option<&str>, name: &str, section: &str) -> Result<(), String> {
     let Some(out_path) = out_path else {
         println!("{{\n{section}\n}}");
@@ -141,14 +141,21 @@ pub fn splice_section(out_path: Option<&str>, name: &str, section: &str) -> Resu
     };
     let existing = std::fs::read_to_string(out_path)
         .unwrap_or_else(|_| "{\n  \"bench\": \"harness\"\n}\n".to_string());
-    let base = match existing.find(&format!(",\n  \"{name}\": {{")) {
-        Some(i) => &existing[..i],
+    let start = format!(",\n  \"{name}\": {{");
+    let (base, tail) = match existing.find(&start) {
+        // The replaced member ends where the next two-space-indented key
+        // (deeper members are indented further) or the object ends.
+        Some(i) => {
+            let rest = &existing[i + start.len()..];
+            let tail = rest.find(",\n  \"").map_or("\n}\n", |j| &rest[j..]);
+            (&existing[..i], tail)
+        }
         None => match existing.rfind('}') {
-            Some(i) => existing[..i].trim_end(),
+            Some(i) => (existing[..i].trim_end(), "\n}\n"),
             None => return Err(format!("{out_path} is not a JSON object")),
         },
     };
-    let merged = format!("{base},\n{section}\n}}\n");
+    let merged = format!("{base},\n{section}{tail}");
     if let Err(e) = gemini_telemetry::json::parse(&merged) {
         return Err(format!("spliced bench report is not valid JSON: {e}"));
     }
@@ -200,6 +207,36 @@ mod tests {
             merged,
             "{\n  \"bench\": \"harness\",\n  \"policy\": {\"cells\": 2}\n}\n"
         );
+    }
+
+    #[test]
+    fn re_splicing_a_section_keeps_the_members_after_it() {
+        let path = std::env::temp_dir().join(format!("resplice_{}.json", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        std::fs::write(&path, "{\n  \"bench\": \"harness\"\n}\n").unwrap();
+        for (name, cells) in [("perf", 1), ("policy", 2), ("service", 3), ("policy", 4)] {
+            let section = format!("  \"{name}\": {{\n    \"cells\": {cells},\n    \"x\": 0\n  }}");
+            splice_section(Some(path_str), name, &section).unwrap();
+        }
+        let merged = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let want = r#"{
+  "bench": "harness",
+  "perf": {
+    "cells": 1,
+    "x": 0
+  },
+  "policy": {
+    "cells": 4,
+    "x": 0
+  },
+  "service": {
+    "cells": 3,
+    "x": 0
+  }
+}
+"#;
+        assert_eq!(merged, want);
     }
 
     #[test]

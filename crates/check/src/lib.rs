@@ -367,7 +367,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::collections::BTreeSet;
 
-    /// Size specifications accepted by [`vec`] and [`btree_set`].
+    /// Size specifications accepted by [`vec()`] and [`btree_set`].
     pub trait SizeRange {
         /// Draws a size.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -388,7 +388,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

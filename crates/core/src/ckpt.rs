@@ -153,22 +153,24 @@ impl HierarchicalStore {
             .collect()
     }
 
+    /// Every owner's [`HierarchicalStore::completed_sources`], indexed by
+    /// owner and in host order, read in one pass over the slots.
+    pub(crate) fn holders(&self) -> Vec<Vec<(usize, u64)>> {
+        let mut holders = vec![Vec::new(); self.placement.machines()];
+        for (&(host, owner), slot) in &self.slots {
+            if let Some(meta) = slot.completed {
+                holders[owner].push((host, meta.iteration));
+            }
+        }
+        holders
+    }
+
     /// The most recent iteration for which **every** machine's shard has a
     /// completed replica on a host whose CPU memory is intact. `None` means
     /// CPU-memory recovery is impossible and the job must fall back to
     /// persistent storage (§6.2 Case 2).
     pub fn latest_recoverable(&self, cpu_intact: &BTreeSet<usize>) -> Option<u64> {
-        let mut latest = u64::MAX;
-        for owner in 0..self.placement.machines() {
-            let best = self
-                .completed_sources(owner)
-                .into_iter()
-                .filter(|(h, _)| cpu_intact.contains(h))
-                .map(|(_, iter)| iter)
-                .max()?;
-            latest = latest.min(best);
-        }
-        (latest != u64::MAX).then_some(latest)
+        latest_common(&self.holders(), |h| cpu_intact.contains(&h))
     }
 
     /// A host with intact CPU memory holding `owner`'s shard at exactly
@@ -229,6 +231,26 @@ impl HierarchicalStore {
     pub fn persistent(&self) -> Option<CheckpointMeta> {
         self.persistent
     }
+}
+
+/// [`HierarchicalStore::latest_recoverable`] over a
+/// [`HierarchicalStore::holders`] table: the freshest iteration every
+/// owner has on some host `intact` accepts.
+pub(crate) fn latest_common(
+    holders: &[Vec<(usize, u64)>],
+    intact: impl Fn(usize) -> bool,
+) -> Option<u64> {
+    holders
+        .iter()
+        .map(|hosts| {
+            hosts
+                .iter()
+                .filter(|&&(h, _)| intact(h))
+                .map(|&(_, it)| it)
+                .max()
+        })
+        .min()
+        .flatten()
 }
 
 #[cfg(test)]

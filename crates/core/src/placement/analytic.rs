@@ -5,12 +5,12 @@
 //! walks all `C(N, k)` failure subsets with Gosper's hack: faithful, but
 //! `C(50, 7) ≈ 1e8` already costs ~1 s and `C(10 000, 7) ≈ 2e24` is
 //! intractable. Every placement Algorithm 1 can emit, however, is a
-//! disjoint union of [`PlacementGroup`]s, and a failure set is fatal iff
-//! *some group individually* loses one of its replica host-sets — failures
-//! in one group can never combine with failures in another to destroy a
-//! checkpoint. Recoverability therefore factorizes over groups, and the
-//! count of safe `k`-subsets is a coefficient in a product of small
-//! per-group polynomials:
+//! disjoint union of [`PlacementGroup`](super::PlacementGroup)s, and a
+//! failure set is fatal iff *some group individually* loses one of its
+//! replica host-sets — failures in one group can never combine with
+//! failures in another to destroy a checkpoint. Recoverability therefore
+//! factorizes over groups, and the count of safe `k`-subsets is a
+//! coefficient in a product of small per-group polynomials:
 //!
 //! * For each group `g`, build `P_g(x) = Σ_t safe_g(t) · x^t`, where
 //!   `safe_g(t)` counts the `t`-subsets of the group's members that cover

@@ -1,20 +1,32 @@
-//! The failure-recovery planner (paper §6).
+//! The failure-recovery planner (paper §6): one tier ladder.
 //!
-//! Classifies a batch of simultaneous failures and decides, per rank, the
-//! fastest storage tier a consistent checkpoint can be retrieved from:
+//! GEMINI retrieves a checkpoint from one hierarchy: local CPU memory, then
+//! a peer's CPU memory, then remote persistent storage (§3, §6). Every plan
+//! kind, [`RecoveryPlanner::plan`] and [`RecoveryPlanner::plan_shrink`],
+//! climbs the same ladder over the [`HierarchicalStore`]:
 //!
-//! * **software failures only** → every machine restarts from its *local*
-//!   CPU-memory replica (Fig. 6b);
-//! * **hardware failures, every placement group still has a survivor** →
-//!   replacement machines fetch from peers' CPU memory, survivors restart
-//!   locally (Fig. 6c, §6.2 Case 1);
-//! * **a whole placement group lost** → all machines must fall back to the
-//!   same persistent-storage checkpoint for consistency (§6.2 Case 2),
-//!   even though some shards are still in CPU memory — they are from a
-//!   *newer* iteration than the persistent copy and mixing them would
-//!   desynchronize the model states.
+//! 1. read each owner's completed holders once, in one pass over the
+//!    store's slots;
+//! 2. take the freshest iteration for which every shard has a holder whose
+//!    CPU memory is intact;
+//! 3. give each rank its source there: itself when it holds its own shard
+//!    ([`StorageTier::LocalCpu`]; reachability does not matter for a local
+//!    read), otherwise the lowest reachable intact holder
+//!    ([`StorageTier::RemoteCpu`]);
+//! 4. drop every rank to the persistent checkpoint when no such iteration
+//!    exists (§6.2 Case 2: the shards still in CPU memory are *newer* than
+//!    the persistent copy, and mixing them would desynchronize the model
+//!    states), or when some shard is held only on unreachable hosts
+//!    (recorded in [`RecoveryPlan::degraded`]). The planner refuses with
+//!    [`GeminiError::NoCheckpointAvailable`] only when no persistent
+//!    checkpoint exists either.
+//!
+//! The [`RecoveryCase`] is read off where the ladder lands: the persistent
+//! rung is [`RecoveryCase::PersistentFallback`]; a CPU plan is
+//! [`RecoveryCase::SoftwareLocal`] when no hardware failed (Fig. 6b) and
+//! [`RecoveryCase::HardwareFromCpu`] otherwise (Fig. 6c, §6.2 Case 1).
 
-use crate::ckpt::{HierarchicalStore, StorageTier};
+use crate::ckpt::{latest_common, HierarchicalStore, StorageTier};
 use crate::error::GeminiError;
 use crate::placement::Placement;
 use gemini_cluster::FailureKind;
@@ -60,7 +72,8 @@ impl TimeoutClass {
 /// Which of the paper's recovery mechanisms applies.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecoveryCase {
-    /// All failures are software: restart in place from local replicas.
+    /// No hardware failed: every rank restarts from CPU memory, in place
+    /// from its own replica where it holds one (Fig. 6b).
     SoftwareLocal,
     /// Hardware failures recoverable from CPU memory (Case 1).
     HardwareFromCpu,
@@ -106,13 +119,7 @@ impl RecoveryPlan {
         RecoveryPlan {
             case: RecoveryCase::PersistentFallback,
             iteration: anchor_iteration,
-            sources: (0..machines)
-                .map(|rank| RetrievalSource {
-                    rank,
-                    tier: StorageTier::Persistent,
-                    from: None,
-                })
-                .collect(),
+            sources: persistent_sources(machines),
             replaced: self.replaced,
             degraded: Some("policy: persistent-first tier override".to_string()),
         }
@@ -234,6 +241,18 @@ fn tier_label(tier: StorageTier) -> gemini_telemetry::Tier {
     }
 }
 
+/// The persistent rung: every one of `machines` ranks reads the shared
+/// persistent checkpoint.
+fn persistent_sources(machines: usize) -> Vec<RetrievalSource> {
+    (0..machines)
+        .map(|rank| RetrievalSource {
+            rank,
+            tier: StorageTier::Persistent,
+            from: None,
+        })
+        .collect()
+}
+
 /// One shard adoption in a shrink repartition: a survivor takes over a
 /// failed machine's model-state shard.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -281,44 +300,6 @@ impl ShrinkPlan {
     pub fn new_rank(&self, survivor: usize) -> Option<usize> {
         self.survivors.binary_search(&survivor).ok()
     }
-
-    /// The wall-clock makespan of the adoption transfers, with the same
-    /// source-contention model as [`RecoveryPlan::retrieval_makespan`]:
-    /// holder adoptions ride the local copy engine in parallel, remote
-    /// adoptions serialize on the serving host's TX, and a persistent
-    /// fallback funnels the whole model state through the storage pipe.
-    pub fn retrieval_makespan(
-        &self,
-        bytes_per_machine: ByteSize,
-        machines: usize,
-        net: &TransferCost,
-        copy: &TransferCost,
-        storage: &TransferCost,
-    ) -> SimDuration {
-        let mut makespan = SimDuration::ZERO;
-        let mut queue: BTreeMap<usize, u64> = BTreeMap::new();
-        for mv in &self.moves {
-            match mv.tier {
-                StorageTier::LocalCpu => {
-                    makespan = makespan.max(copy.time(bytes_per_machine));
-                }
-                StorageTier::RemoteCpu => {
-                    let host = mv.from.unwrap_or(mv.to);
-                    let depth = queue.entry(host).or_insert(0);
-                    *depth += 1;
-                    let wait = SimDuration::from_secs_f64(
-                        net.time(bytes_per_machine).as_secs_f64() * *depth as f64,
-                    ) + copy.time(bytes_per_machine);
-                    makespan = makespan.max(wait);
-                }
-                StorageTier::Persistent => {
-                    makespan =
-                        makespan.max(storage.time(bytes_per_machine * machines.max(1) as u64));
-                }
-            }
-        }
-        makespan
-    }
 }
 
 /// Plans recoveries against a placement and its checkpoint store.
@@ -326,148 +307,31 @@ impl ShrinkPlan {
 pub struct RecoveryPlanner;
 
 impl RecoveryPlanner {
-    /// Builds the plan for a batch of simultaneous failures.
+    /// Builds the plan for a batch of simultaneous failures by climbing
+    /// the tier ladder (module docs).
     ///
     /// `store` must reflect the state *after* the failures (i.e.
     /// [`HierarchicalStore::machine_lost`] already applied for hardware
     /// failures), mirroring how the root agent observes the world.
+    /// `unreachable` hosts (degraded or partitioned NICs) keep their CPU
+    /// memory, so they still restart locally, but they cannot serve
+    /// remote-CPU reads.
     pub fn plan(
-        &self,
-        store: &HierarchicalStore,
-        failures: &[(usize, FailureKind)],
-    ) -> Result<RecoveryPlan, GeminiError> {
-        self.plan_degraded(store, failures, &BTreeSet::new())
-    }
-
-    /// Like [`RecoveryPlanner::plan`], but some surviving hosts are
-    /// temporarily *unreachable* over the network (degraded or partitioned
-    /// NICs). Their CPU memory is intact — they restart locally — but they
-    /// cannot serve remote-CPU retrievals. If a replacement machine's only
-    /// source is unreachable, the planner degrades gracefully to the
-    /// persistent checkpoint (for every rank, preserving consistency)
-    /// instead of erroring, recording why in [`RecoveryPlan::degraded`].
-    pub fn plan_degraded(
         &self,
         store: &HierarchicalStore,
         failures: &[(usize, FailureKind)],
         unreachable: &BTreeSet<usize>,
     ) -> Result<RecoveryPlan, GeminiError> {
         let n = store.placement().machines();
-        for &(rank, _) in failures {
-            if rank >= n {
-                return Err(GeminiError::UnknownRank(rank));
-            }
+        if let Some(&(rank, _)) = failures.iter().find(|(rank, _)| *rank >= n) {
+            return Err(GeminiError::UnknownRank(rank));
         }
         let hardware: BTreeSet<usize> = failures
             .iter()
             .filter(|(_, k)| *k == FailureKind::Hardware)
             .map(|(r, _)| *r)
             .collect();
-        let cpu_intact: BTreeSet<usize> = (0..n).filter(|r| !hardware.contains(r)).collect();
-        let replaced: Vec<usize> = hardware.iter().copied().collect();
-
-        if hardware.is_empty() {
-            // Software-only: everything is in local CPU memory. Network
-            // reachability is irrelevant — nothing is fetched remotely.
-            let iteration = store
-                .latest_recoverable(&cpu_intact)
-                .ok_or(GeminiError::NoCheckpointAvailable)?;
-            return Ok(RecoveryPlan {
-                case: RecoveryCase::SoftwareLocal,
-                iteration,
-                sources: (0..n)
-                    .map(|rank| RetrievalSource {
-                        rank,
-                        tier: StorageTier::LocalCpu,
-                        from: None,
-                    })
-                    .collect(),
-                replaced,
-                degraded: None,
-            });
-        }
-
-        // Hosts that can *serve* remote retrievals: intact CPU memory and
-        // a reachable NIC.
-        let serving: BTreeSet<usize> = cpu_intact.difference(unreachable).copied().collect();
-        if let Some(iteration) = store.latest_recoverable(&cpu_intact) {
-            // Case 1: survivors restart locally; replacements fetch from a
-            // surviving *reachable* peer holding their shard.
-            let mut sources = Vec::with_capacity(n);
-            let mut unreachable_only = false;
-            for rank in 0..n {
-                if hardware.contains(&rank) {
-                    match store.source_for(rank, iteration, &serving) {
-                        Some(from) => sources.push(RetrievalSource {
-                            rank,
-                            tier: StorageTier::RemoteCpu,
-                            from: Some(from),
-                        }),
-                        None => {
-                            // The shard survives in CPU memory but only on
-                            // unreachable hosts: remote retrieval is
-                            // partially unavailable.
-                            unreachable_only = true;
-                            break;
-                        }
-                    }
-                } else {
-                    sources.push(RetrievalSource {
-                        rank,
-                        tier: StorageTier::LocalCpu,
-                        from: None,
-                    });
-                }
-            }
-            if !unreachable_only {
-                return Ok(RecoveryPlan {
-                    case: RecoveryCase::HardwareFromCpu,
-                    iteration,
-                    sources,
-                    replaced,
-                    degraded: None,
-                });
-            }
-            // Degrade gracefully: every rank falls back to the persistent
-            // checkpoint for consistency, and the plan records why.
-            let persistent = store
-                .persistent()
-                .ok_or(GeminiError::NoCheckpointAvailable)?;
-            return Ok(RecoveryPlan {
-                case: RecoveryCase::PersistentFallback,
-                iteration: persistent.iteration,
-                sources: (0..n)
-                    .map(|rank| RetrievalSource {
-                        rank,
-                        tier: StorageTier::Persistent,
-                        from: None,
-                    })
-                    .collect(),
-                replaced,
-                degraded: Some(format!(
-                    "remote-CPU sources unreachable ({} host(s) partitioned)",
-                    unreachable.len()
-                )),
-            });
-        }
-        // Case 2: consistency forces everyone to the persistent
-        // checkpoint.
-        let persistent = store
-            .persistent()
-            .ok_or(GeminiError::NoCheckpointAvailable)?;
-        Ok(RecoveryPlan {
-            case: RecoveryCase::PersistentFallback,
-            iteration: persistent.iteration,
-            sources: (0..n)
-                .map(|rank| RetrievalSource {
-                    rank,
-                    tier: StorageTier::Persistent,
-                    from: None,
-                })
-                .collect(),
-            replaced,
-            degraded: None,
-        })
+        climb(store, &store.holders(), &hardware, unreachable)
     }
 
     /// Builds a shrink-and-continue repartition for a batch of *hardware*
@@ -475,9 +339,9 @@ impl RecoveryPlanner {
     /// least-loaded one, preferring survivors that already hold a replica
     /// of that shard — those adopt at local-copy speed), and the job
     /// resumes over `survivors.len()` ranks under a freshly-derived
-    /// placement. Below the placement's tolerance every committed shard
-    /// survives in CPU memory; past it the plan degrades to the shared
-    /// persistent checkpoint, exactly like [`RecoveryPlanner::plan`].
+    /// placement. The iteration and the persistent fallback come from the
+    /// same tier ladder as [`RecoveryPlanner::plan`], with every survivor
+    /// serving.
     ///
     /// `store` must reflect the state *after* the failures
     /// ([`HierarchicalStore::machine_lost`] applied), like
@@ -489,10 +353,8 @@ impl RecoveryPlanner {
     ) -> Result<ShrinkPlan, GeminiError> {
         let n = store.placement().machines();
         let m = store.placement().replicas();
-        for &rank in failed {
-            if rank >= n {
-                return Err(GeminiError::UnknownRank(rank));
-            }
+        if let Some(&rank) = failed.iter().find(|&&rank| rank >= n) {
+            return Err(GeminiError::UnknownRank(rank));
         }
         if failed.is_empty() {
             return Err(GeminiError::InvalidDrill(
@@ -509,82 +371,118 @@ impl RecoveryPlanner {
         }
         let placement = Placement::mixed(survivors.len(), m)?;
         let throughput_factor = survivors.len() as f64 / n as f64;
-        let alive: BTreeSet<usize> = survivors.iter().copied().collect();
+        let holders = store.holders();
+        let plan = climb(store, &holders, failed, &BTreeSet::new())?;
 
         // Per-survivor adoption count, so the extra memory and reload work
         // spread evenly instead of piling onto the lowest rank.
         let mut load: BTreeMap<usize, usize> = survivors.iter().map(|&s| (s, 0)).collect();
-        let mut moves = Vec::with_capacity(failed.len());
-
-        if let Some(iteration) = store.latest_recoverable(&alive) {
-            for &owner in failed {
+        let moves = failed
+            .iter()
+            .map(|&owner| {
                 // Survivors already holding this shard at the rollback
-                // iteration can adopt it without any transfer.
-                let holders: BTreeSet<usize> = store
-                    .completed_sources(owner)
-                    .into_iter()
-                    .filter(|(h, it)| alive.contains(h) && *it == iteration)
-                    .map(|(h, _)| h)
-                    .collect();
+                // iteration adopt it without any transfer.
+                let holding: Vec<usize> = if plan.case == RecoveryCase::PersistentFallback {
+                    Vec::new()
+                } else {
+                    holders[owner]
+                        .iter()
+                        .filter(|&&(h, it)| it == plan.iteration && !failed.contains(&h))
+                        .map(|&(h, _)| h)
+                        .collect()
+                };
                 let to = survivors
                     .iter()
                     .copied()
-                    .min_by_key(|s| (load[s], !holders.contains(s), *s))
+                    .min_by_key(|s| (load[s], !holding.contains(s), *s))
                     .expect("survivors is non-empty");
-                let (tier, from) = if holders.contains(&to) {
+                *load.get_mut(&to).expect("adopter is a survivor") += 1;
+                let src = plan.sources[owner];
+                let (tier, from) = if holding.contains(&to) {
                     (StorageTier::LocalCpu, None)
                 } else {
-                    let from = store
-                        .source_for(owner, iteration, &alive)
-                        .expect("latest_recoverable guarantees a source");
-                    (StorageTier::RemoteCpu, Some(from))
+                    (src.tier, src.from)
                 };
-                *load.get_mut(&to).expect("adopter is a survivor") += 1;
-                moves.push(ShardMove {
+                ShardMove {
                     owner,
                     to,
                     tier,
                     from,
-                });
-            }
-            return Ok(ShrinkPlan {
-                case: RecoveryCase::HardwareFromCpu,
-                iteration,
-                survivors,
-                moves,
-                placement,
-                throughput_factor,
-            });
-        }
-
-        // Past the placement tolerance: every rank (adopters included)
-        // rolls back to the persistent checkpoint for consistency.
-        let persistent = store
-            .persistent()
-            .ok_or(GeminiError::NoCheckpointAvailable)?;
-        for &owner in failed {
-            let to = survivors
-                .iter()
-                .copied()
-                .min_by_key(|s| (load[s], *s))
-                .expect("survivors is non-empty");
-            *load.get_mut(&to).expect("adopter is a survivor") += 1;
-            moves.push(ShardMove {
-                owner,
-                to,
-                tier: StorageTier::Persistent,
-                from: None,
-            });
-        }
+                }
+            })
+            .collect();
         Ok(ShrinkPlan {
-            case: RecoveryCase::PersistentFallback,
-            iteration: persistent.iteration,
+            case: plan.case,
+            iteration: plan.iteration,
             survivors,
             moves,
             placement,
             throughput_factor,
         })
     }
+}
+
+/// Climbs the tier ladder (module docs) over the store's `holders` table
+/// for a job whose `failed` hosts lost their CPU memory and whose
+/// `unreachable` hosts cannot serve remote reads. `failed` is the plan's
+/// `replaced` list.
+fn climb(
+    store: &HierarchicalStore,
+    holders: &[Vec<(usize, u64)>],
+    failed: &BTreeSet<usize>,
+    unreachable: &BTreeSet<usize>,
+) -> Result<RecoveryPlan, GeminiError> {
+    let intact = |h: usize| !failed.contains(&h);
+    let replaced: Vec<usize> = failed.iter().copied().collect();
+    let mut degraded = None;
+    if let Some(iteration) = latest_common(holders, intact) {
+        let sources: Option<Vec<RetrievalSource>> = holders
+            .iter()
+            .enumerate()
+            .map(|(rank, hosts)| {
+                let mut at = hosts
+                    .iter()
+                    .filter(|&&(h, it)| it == iteration && intact(h))
+                    .map(|&(h, _)| h);
+                let (tier, from) = if at.clone().any(|h| h == rank) {
+                    (StorageTier::LocalCpu, None)
+                } else {
+                    let from = at.find(|h| !unreachable.contains(h))?;
+                    (StorageTier::RemoteCpu, Some(from))
+                };
+                Some(RetrievalSource { rank, tier, from })
+            })
+            .collect();
+        if let Some(sources) = sources {
+            let case = if failed.is_empty() {
+                RecoveryCase::SoftwareLocal
+            } else {
+                RecoveryCase::HardwareFromCpu
+            };
+            return Ok(RecoveryPlan {
+                case,
+                iteration,
+                sources,
+                replaced,
+                degraded: None,
+            });
+        }
+        // Some shard survives in CPU memory only on unreachable hosts.
+        degraded = Some(format!(
+            "remote-CPU sources unreachable ({} host(s) partitioned)",
+            unreachable.len()
+        ));
+    }
+    let persistent = store
+        .persistent()
+        .ok_or(GeminiError::NoCheckpointAvailable)?;
+    Ok(RecoveryPlan {
+        case: RecoveryCase::PersistentFallback,
+        iteration: persistent.iteration,
+        sources: persistent_sources(holders.len()),
+        replaced,
+        degraded,
+    })
 }
 
 #[cfg(test)]
@@ -644,7 +542,7 @@ mod tests {
     fn software_failure_recovers_locally_at_latest_iteration() {
         let s = store(4, 2);
         let plan = RecoveryPlanner
-            .plan(&s, &[(2, FailureKind::Software)])
+            .plan(&s, &[(2, FailureKind::Software)], &BTreeSet::new())
             .unwrap();
         assert_eq!(plan.case, RecoveryCase::SoftwareLocal);
         assert_eq!(plan.iteration, 310);
@@ -664,6 +562,7 @@ mod tests {
             .plan(
                 &s,
                 &[(1, FailureKind::Hardware), (3, FailureKind::Hardware)],
+                &BTreeSet::new(),
             )
             .unwrap();
         assert_eq!(plan.case, RecoveryCase::HardwareFromCpu);
@@ -684,7 +583,7 @@ mod tests {
         let mut s = store(4, 2);
         s.machine_lost(1);
         let plan = RecoveryPlanner
-            .plan(&s, &[(1, FailureKind::Hardware)])
+            .plan(&s, &[(1, FailureKind::Hardware)], &BTreeSet::new())
             .unwrap();
         assert_eq!(plan.case, RecoveryCase::HardwareFromCpu);
         let plan = plan.persistent_first(4, 100);
@@ -714,6 +613,7 @@ mod tests {
             .plan(
                 &s,
                 &[(0, FailureKind::Hardware), (1, FailureKind::Hardware)],
+                &BTreeSet::new(),
             )
             .unwrap();
         assert_eq!(plan.case, RecoveryCase::PersistentFallback);
@@ -733,6 +633,7 @@ mod tests {
             .plan(
                 &s,
                 &[(1, FailureKind::Software), (4, FailureKind::Hardware)],
+                &BTreeSet::new(),
             )
             .unwrap();
         assert_eq!(plan.case, RecoveryCase::HardwareFromCpu);
@@ -755,6 +656,7 @@ mod tests {
             .plan(
                 &s,
                 &[(0, FailureKind::Hardware), (1, FailureKind::Hardware)],
+                &BTreeSet::new(),
             )
             .unwrap_err();
         assert_eq!(err, GeminiError::NoCheckpointAvailable);
@@ -765,7 +667,7 @@ mod tests {
         let s = store(4, 2);
         assert_eq!(
             RecoveryPlanner
-                .plan(&s, &[(9, FailureKind::Software)])
+                .plan(&s, &[(9, FailureKind::Software)], &BTreeSet::new())
                 .unwrap_err(),
             GeminiError::UnknownRank(9)
         );
@@ -781,6 +683,7 @@ mod tests {
             .plan(
                 &s,
                 &[(1, FailureKind::Hardware), (3, FailureKind::Hardware)],
+                &BTreeSet::new(),
             )
             .unwrap();
         let net = TransferCost::pure_bandwidth(Bandwidth::from_gbytes_per_sec(10.0));
@@ -833,6 +736,7 @@ mod tests {
             .plan(
                 &s,
                 &[(0, FailureKind::Hardware), (1, FailureKind::Hardware)],
+                &BTreeSet::new(),
             )
             .unwrap();
         let net = TransferCost::pure_bandwidth(Bandwidth::from_gbytes_per_sec(10.0));
@@ -852,7 +756,7 @@ mod tests {
         s.machine_lost(1);
         let unreachable: BTreeSet<usize> = [0].into_iter().collect();
         let plan = RecoveryPlanner
-            .plan_degraded(&s, &[(1, FailureKind::Hardware)], &unreachable)
+            .plan(&s, &[(1, FailureKind::Hardware)], &unreachable)
             .unwrap();
         assert_eq!(plan.case, RecoveryCase::PersistentFallback);
         assert_eq!(plan.iteration, 100);
@@ -871,7 +775,7 @@ mod tests {
         let mut s = store(6, 3);
         s.machine_lost(1);
         let plan_clear = RecoveryPlanner
-            .plan(&s, &[(1, FailureKind::Hardware)])
+            .plan(&s, &[(1, FailureKind::Hardware)], &BTreeSet::new())
             .unwrap();
         let preferred = plan_clear
             .sources
@@ -882,7 +786,7 @@ mod tests {
             .unwrap();
         let unreachable: BTreeSet<usize> = [preferred].into_iter().collect();
         let plan = RecoveryPlanner
-            .plan_degraded(&s, &[(1, FailureKind::Hardware)], &unreachable)
+            .plan(&s, &[(1, FailureKind::Hardware)], &unreachable)
             .unwrap();
         assert_eq!(plan.case, RecoveryCase::HardwareFromCpu);
         assert!(plan.degraded.is_none());
@@ -896,7 +800,7 @@ mod tests {
         let s = store(4, 2);
         let unreachable: BTreeSet<usize> = [0, 2].into_iter().collect();
         let plan = RecoveryPlanner
-            .plan_degraded(&s, &[(1, FailureKind::Software)], &unreachable)
+            .plan(&s, &[(1, FailureKind::Software)], &unreachable)
             .unwrap();
         assert_eq!(plan.case, RecoveryCase::SoftwareLocal);
         assert_eq!(plan.iteration, 310);
@@ -1035,7 +939,7 @@ mod tests {
         let mut s = store(10, 3);
         s.machine_lost(7);
         let plan = RecoveryPlanner
-            .plan(&s, &[(7, FailureKind::Hardware)])
+            .plan(&s, &[(7, FailureKind::Hardware)], &BTreeSet::new())
             .unwrap();
         let mut ranks: Vec<usize> = plan.sources.iter().map(|s| s.rank).collect();
         ranks.sort_unstable();

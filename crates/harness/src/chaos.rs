@@ -12,7 +12,7 @@
 //! serialization, replacement via [`gemini_cluster::CloudOperator`],
 //! plan-driven retrieval — hardened with bounded retry
 //! ([`gemini_kvstore::RetryPolicy`]) and graceful degradation
-//! ([`RecoveryPlanner::plan_degraded`]).
+//! ([`RecoveryPlanner::plan`]).
 //!
 //! The Fig. 14 recovery drill ([`crate::drill`]) is a drill-shaped run of
 //! this same executor: a single-fault plan (one kill per victim, all at
@@ -1533,7 +1533,7 @@ impl ChaosModel {
             shrink_plan = Some(sp);
             rp
         } else {
-            match RecoveryPlanner.plan_degraded(&self.sys.store, &failures, &unreachable) {
+            match RecoveryPlanner.plan(&self.sys.store, &failures, &unreachable) {
                 Ok(p) => p,
                 Err(e) => {
                     self.recovery_failed(ctx, "recovery planning", e);
@@ -2254,6 +2254,9 @@ impl Model for ChaosModel {
                     },
                 );
                 self.current_iteration = plan.iteration;
+                // The rollback target is the newest commit of the resumed
+                // timeline: anything committed past it was abandoned.
+                self.last_committed = plan.iteration;
                 self.push_trace(
                     Some(incident),
                     now,
@@ -2808,10 +2811,27 @@ mod tests {
             },
         });
         plan.horizon = SimTime::from_secs(3600);
-        let report = chaos_with(&plan, 8, TelemetrySink::enabled()).unwrap();
+        let sink = TelemetrySink::enabled();
+        let report = chaos_with(&plan, 8, sink.clone()).unwrap();
         assert!(report.is_green(), "violations: {:?}", report.violations);
         assert_eq!(report.waves.len(), 2, "second failure gets its own wave");
         assert_eq!(report.waves[1].case, RecoveryCase::SoftwareLocal);
+        // Rank 5's new machine has committed nothing since wave 0, so in
+        // wave 1 it reads its shard from its group peer, not locally.
+        use gemini_telemetry::Tier;
+        let rank5: Vec<(Tier, Option<usize>)> = sink
+            .find(|e| matches!(e, TelemetryEvent::RecoveryTierHit { rank: 5, .. }))
+            .into_iter()
+            .map(|te| match te.event {
+                TelemetryEvent::RecoveryTierHit { tier, from, .. } => (tier, from),
+                _ => unreachable!("filtered to tier hits"),
+            })
+            .collect();
+        assert_eq!(
+            rank5,
+            vec![(Tier::RemoteCpu, Some(4)), (Tier::RemoteCpu, Some(4))],
+            "wave 0 and wave 1 both read rank 5's shard from rank 4"
+        );
     }
 
     #[test]

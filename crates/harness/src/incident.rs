@@ -1,7 +1,8 @@
 //! Incident stitching, critical-path analysis and wasted-time attribution
 //! over the chaos flight recorder.
 //!
-//! [`crate::chaos`] narrates every recovery as [`CausalEvent`]s sharing an
+//! [`crate::chaos`] narrates every recovery as
+//! [`CausalEvent`](gemini_telemetry::CausalEvent)s sharing an
 //! incident id (the wave index). This module turns that flat trace into:
 //!
 //! * [`Incident`] records — one per wave, with the causal timestamps
@@ -12,12 +13,13 @@
 //!   keeps whichever leg actually gated retrieval, then retrieve → warmup
 //!   (→ rework when progress was rolled back);
 //! * an **attribution table** assigning every nanosecond of the run's
-//!   [`WastedLedger`] to an `(incident, phase, machine-group,
-//!   policy-epoch)` key. The downtime phases partition each incident's
-//!   detect→resume window exactly (telescoping timestamps), rework rows
-//!   reuse the exact value charged by the model, and overhead rows mirror
-//!   each persist charge — so [`WastedLedger::check_attribution`] holds to
-//!   the nanosecond or the analysis reports a mismatch.
+//!   [`WastedLedger`](gemini_core::WastedLedger) to an `(incident, phase,
+//!   machine-group, policy-epoch)` key. The downtime phases partition each
+//!   incident's detect→resume window exactly (telescoping timestamps),
+//!   rework rows reuse the exact value charged by the model, and overhead
+//!   rows mirror each persist charge — so
+//!   [`check_attribution`](gemini_core::WastedLedger::check_attribution)
+//!   holds to the nanosecond or the analysis reports a mismatch.
 //!
 //! Everything is derived from `ChaosReport::trace` (model-side state), so
 //! the analysis is identical with the sink on or off and byte-identical

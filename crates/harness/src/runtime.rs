@@ -551,7 +551,7 @@ impl GeminiRuntime {
 
         // 4. Plan and execute the retrieval, verifying real bytes for every
         //    rank that reads from CPU memory.
-        let mut plan = RecoveryPlanner.plan(&self.sys.store, &failures)?;
+        let mut plan = RecoveryPlanner.plan(&self.sys.store, &failures, &BTreeSet::new())?;
         // Policy tier override: a persistent-first preference reroutes a
         // CPU-recoverable failure to the durable anchor when one exists.
         if self.auto

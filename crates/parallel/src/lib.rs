@@ -400,7 +400,7 @@ type FlightSlot<V> = Arc<(Mutex<FlightState<V>>, Condvar)>;
 /// [`executions`](SingleFlight::executions) telemetry counters are
 /// timing-dependent.
 ///
-/// A leader that panics marks its slot [`FlightState::Abandoned`] and
+/// A leader that panics marks its slot abandoned and
 /// wakes all followers, which then compute independently — a malformed
 /// computation can never strand other tenants on a condvar.
 pub struct SingleFlight<K: Ord + Clone, V: Clone> {

@@ -10,7 +10,7 @@ use gemini_core::{GeminiConfig, HierarchicalStore, Placement};
 use gemini_kvstore::KvStore;
 use gemini_net::ByteSize;
 use gemini_sim::SimTime;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -90,7 +90,7 @@ fn full_coordination_and_byte_recovery_pipeline() {
 
     // The root plans recovery; rank 5 must fetch from its group peer 4.
     let plan = RecoveryPlanner
-        .plan(&meta, &[(5, FailureKind::Hardware)])
+        .plan(&meta, &[(5, FailureKind::Hardware)], &BTreeSet::new())
         .unwrap();
     assert_eq!(plan.case, RecoveryCase::HardwareFromCpu);
     assert_eq!(plan.iteration, 42);

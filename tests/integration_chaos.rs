@@ -2,9 +2,10 @@
 //! several seeds, with all four engine invariants asserted green and the
 //! byte-identical-rerun (determinism) invariant checked explicitly.
 
+use gemini_cluster::FailureKind;
 use gemini_core::recovery::RecoveryCase;
-use gemini_harness::{ChaosPlan, Scenario};
-use gemini_sim::SimDuration;
+use gemini_harness::{ChaosPlan, FaultKind, Scenario, TimedFault};
+use gemini_sim::{SimDuration, SimTime};
 use gemini_telemetry::{CausalKind, TelemetrySink};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -302,4 +303,35 @@ fn control_plane_traffic_is_pinned() {
         let got = names.map(|name| snap.counter(Key::plain(name)));
         assert_eq!(got, want, "plan {}: {names:?}", plan.name);
     }
+}
+
+#[test]
+fn software_kill_after_a_persistent_rollback_recovers_from_storage() {
+    // A whole placement group dies at 600 s, so wave 1 rolls every rank
+    // back to the persistent checkpoint. A software kill at 1000 s is
+    // confirmed while that retrieval runs and opens a software-only wave
+    // 2. No CPU iteration is recoverable then (group 1's new machines
+    // hold nothing yet), but the persistent checkpoint wave 1 read still
+    // exists: the planner must take it instead of refusing the job.
+    let mut plan = ChaosPlan::correlated_group_loss();
+    plan.name = "group_loss_then_software_kill".to_string();
+    plan.faults.push(TimedFault {
+        at: SimTime::from_secs(1000),
+        fault: FaultKind::Kill {
+            rank: 9,
+            kind: FailureKind::Software,
+        },
+    });
+    // Wave 2 resumes at about 2605 s; a planner that refuses it fails by
+    // about 1900 s.
+    plan.horizon = SimTime::from_secs(2700);
+    let report = Scenario::chaos(plan).seed(1).run().unwrap();
+    assert!(report.is_green(), "violations: {:?}", report.violations);
+    assert_eq!(report.waves.len(), 2);
+    let persistent = report.waves[0].resumed_from_iteration;
+    assert_eq!(report.waves[0].case, RecoveryCase::PersistentFallback);
+    assert_eq!(report.waves[1].failures, vec!["9:sw".to_string()]);
+    assert_eq!(report.waves[1].case, RecoveryCase::PersistentFallback);
+    assert_eq!(report.waves[1].resumed_from_iteration, persistent);
+    assert_eq!(report.waves[1].degraded, None);
 }

@@ -14,6 +14,7 @@ use gemini_net::{
     PersistentStorage, TransferCost,
 };
 use gemini_sim::SimTime;
+use std::collections::BTreeSet;
 
 #[test]
 fn switch_failure_with_rack_aware_placement_recovers_from_cpu() {
@@ -35,7 +36,9 @@ fn switch_failure_with_rack_aware_placement_recovers_from_cpu() {
             .iter()
             .map(|&v| (v, FailureKind::Hardware))
             .collect();
-        RecoveryPlanner.plan(&store, &failures).unwrap()
+        RecoveryPlanner
+            .plan(&store, &failures, &BTreeSet::new())
+            .unwrap()
     };
 
     // Rack-oblivious: groups {8,9} and {10,11} sit inside the dead rack →
