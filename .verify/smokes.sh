@@ -10,6 +10,7 @@ cd "$ROOT"
 OUT="$ROOT/target/smokes"
 mkdir -p "$OUT"
 SMOKE_BATCH="$ROOT/crates/bench/baselines/serve_smoke.ndjson"
+SMOKE_EXPECTED="$ROOT/crates/bench/baselines/serve_smoke.expected.ndjson"
 BENCH="$OUT/bench_harness_ci.json"
 
 STEP=""
@@ -103,20 +104,23 @@ grep -q "attribution: exact" "$OUT/inc_a.txt" || fail "no exact attribution"
 
 # Scenario-as-a-service: the canned batch serves byte-identically at
 # --jobs 2 vs 1 and in file vs stdin mode, one response per request,
-# with per-query errors isolated. It doubles as the workload/mode smoke:
-# an MoE drill (q12), shrink-mode and MoE chaos runs (q13/q14) and a
+# with per-query errors isolated. The responses are pinned byte for byte
+# to serve_smoke.expected.ndjson: each is simulated output, with no value
+# read from the host. It doubles as the workload/mode smoke: an MoE
+# drill (q12), shrink-mode and MoE chaos runs (q13/q14) and a
 # shrink-mode drill (q15) answer ok. q16–q20 sweep one `m` over fleets
 # of 1 000 to 9 000 machines and back: the recoverability memo's stored
 # group powers are extended (q16, q17), rebuilt one degree deeper (q18)
 # and resumed from (q19, q20). The byte-for-byte diff against
 # one-shot Scenario runs is tests/integration_service.rs. See
 # docs/SERVICE.md and docs/WORKLOADS.md.
-smoke "serve (canned batch: jobs 2 vs 1, file vs stdin)"
+smoke "serve (canned batch: jobs 2 vs 1, file vs stdin, committed responses)"
 bin scenario -- serve --requests "$SMOKE_BATCH" --jobs 2 > "$OUT/serve_a.txt"
 bin scenario -- serve --requests "$SMOKE_BATCH" --jobs 1 > "$OUT/serve_b.txt"
 bin scenario -- serve < "$SMOKE_BATCH" > "$OUT/serve_c.txt"
 cmp "$OUT/serve_a.txt" "$OUT/serve_b.txt" || fail "serve differs across --jobs"
 cmp "$OUT/serve_a.txt" "$OUT/serve_c.txt" || fail "serve differs file vs stdin"
+cmp "$OUT/serve_a.txt" "$SMOKE_EXPECTED" || fail "serve differs from the committed responses"
 [ "$(wc -l < "$OUT/serve_a.txt")" -eq "$(grep -c . "$SMOKE_BATCH")" ] \
   || fail "one response per request"
 grep -q '"id":"q10","kind":"drill","ok":false' "$OUT/serve_a.txt" || fail "q10 must fail"

@@ -51,7 +51,7 @@ fn fail(msg: &str) -> ! {
 /// a path segment.
 fn walk(value: &Json, path: &mut Vec<String>, out: &mut BTreeMap<String, f64>) {
     let leaf = match value {
-        Json::Num(n) => *n,
+        Json::Num(_) => value.as_f64().expect("a parsed number reads"),
         Json::Bool(b) => f64::from(u8::from(*b)),
         Json::Null | Json::Str(_) => return,
         Json::Arr(items) => {

@@ -27,6 +27,7 @@
 use gemini_bench::BenchCli;
 use gemini_core::policy::PolicySpec;
 use gemini_harness::{incident, ChaosPlan, ChaosReport, Scenario};
+use gemini_telemetry::{json::Json, json_obj};
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -145,12 +146,9 @@ fn main() {
     }
 
     if let Some(path) = out {
-        let docs: Vec<String> = reports
-            .iter()
-            .map(|r| incident::incidents_json(r).trim_end().to_string())
-            .collect();
-        let doc = format!("{{\n\"runs\": [\n{}\n]\n}}\n", docs.join(",\n"));
-        if let Err(e) = std::fs::write(&path, doc) {
+        let runs = reports.iter().map(incident::incidents_json).collect();
+        let doc = json_obj! { "runs" => Json::Arr(runs) };
+        if let Err(e) = std::fs::write(&path, doc.pretty() + "\n") {
             fail(&format!("writing {path}: {e}"));
         }
         eprintln!("incident report: {path}");

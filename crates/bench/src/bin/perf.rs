@@ -61,7 +61,7 @@ use gemini_harness::experiments::{render_all_jobs, render_all_stats};
 use gemini_harness::par;
 use gemini_kvstore::KvStore;
 use gemini_sim::{DetRng, SimTime};
-use gemini_telemetry::{Key, TelemetrySink};
+use gemini_telemetry::{json::Json, json_obj, Key, TelemetrySink};
 use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Instant;
@@ -368,7 +368,7 @@ fn main() {
     // Timed on a disabled sink, as the chaos executor runs; the KV op
     // counters come from an identical pass on an enabled sink.
     let cp_scale = if quick { 1 } else { 10 };
-    let cp_json: String = [(16usize, 10_000u64, 50_000u64), (10_000, 5, 20)]
+    let cp_json: Vec<(String, Json)> = [(16usize, 10_000u64, 50_000u64), (10_000, 5, 20)]
         .iter()
         .map(|&(n, rounds, scans)| {
             let (rounds, scans) = (rounds * cp_scale, scans * cp_scale);
@@ -385,92 +385,86 @@ fn main() {
                 "control plane N={n}: {heartbeat_ns:.0} ns/heartbeat, {scan_ns:.0} ns/scan \
                  ({beats} heartbeats, {scans} scans)"
             );
-            format!(
-                "    \"n{n}\": {{\n      \"workers\": {n},\n      \"heartbeats\": {beats},\n      \
-                 \"health_scans\": {scans_counted},\n      \
-                 \"leases_granted\": {granted},\n      \"leases_expired\": {expired},\n      \
-                 \"heartbeat_ns\": {heartbeat_ns:.1},\n      \"scan_ns\": {scan_ns:.1}\n    }}",
-                scans_counted = count("kv.health_scans"),
-                granted = count("kv.leases_granted"),
-                expired = count("kv.leases_expired"),
-            )
+            let section = json_obj! {
+                "workers" => n, "heartbeats" => beats, "health_scans" => count("kv.health_scans"),
+                "leases_granted" => count("kv.leases_granted"),
+                "leases_expired" => count("kv.leases_expired"),
+                "heartbeat_ns" => Json::fixed(heartbeat_ns, 1),
+                "scan_ns" => Json::fixed(scan_ns, 1),
+            };
+            (format!("n{n}"), section)
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
+        .collect();
     sink.gauge_set("scale.fleet_events_per_s", || fleet_eps);
     sink.gauge_set("scale.fleet_machines", || FLEET_MACHINES as f64);
-    let des_json: String = des_rows
+    // Wall clocks to the microsecond, rates and speedups.
+    let wall = |s: f64| Json::fixed(s, 6);
+    let per_s = |count: f64, s: f64| Json::fixed(count / s.max(1e-12), 1);
+    let ratio = |x: f64| Json::fixed(x, 3);
+    let des_json = des_rows
         .iter()
-        .map(|(w, processed, wheel_s, heap_s, speedup)| {
-            format!(
-                "    \"{key}\": {{\n      \"events\": {processed},\n      \
-                 \"wheel_s\": {wheel_s:.6},\n      \"heap_s\": {heap_s:.6},\n      \
-                 \"wheel_events_per_s\": {wps:.1},\n      \
-                 \"heap_events_per_s\": {hps:.1},\n      \"speedup\": {speedup:.3}\n    }}",
-                key = w.key(),
-                wps = *processed as f64 / wheel_s.max(1e-12),
-                hps = *processed as f64 / heap_s.max(1e-12),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-
-    let pretty = format!(
-        "{{\n  \"bench\": \"harness\",\n  \"quick\": {quick},\n  \"jobs\": {jobs},\n  \
-         \"cpus\": {cpus},\n  \
-         \"figures\": {{\n    \"serial_s\": {figures_serial_s:.6},\n    \
-         \"parallel_s\": {figures_par_s:.6},\n    \"speedup\": {figures_speedup:.3},\n    \
-         \"serial_fallback\": {figures_fallback},\n    \
-         \"byte_identical\": {byte_identical},\n    \"artifacts\": {artifacts}\n  }},\n  \
-         \"monte_carlo\": {{\n    \"trials\": {trials},\n    \"bitmask_s\": {mc_fast_s:.6},\n    \
-         \"reference_s\": {mc_ref_s:.6},\n    \"parallel_s\": {mc_par_s:.6},\n    \
-         \"bitmask_trials_per_s\": {bm_tps:.1},\n    \"reference_trials_per_s\": {ref_tps:.1},\n    \
-         \"kernel_speedup\": {mc_speedup:.3},\n    \"estimate\": {p_fast:.6}\n  }},\n  \
-         \"enumeration\": {{\n    \"n\": {en_n},\n    \"k\": {en_k},\n    \
-         \"subsets\": {subsets:.0},\n    \"wall_s\": {enum_s:.6},\n    \
-         \"subsets_per_s\": {en_sps:.1},\n    \"probability\": {p_enum:.9}\n  }},\n  \
-         \"recoverable\": {{\n    \"checks\": {checks},\n    \"mask_s\": {mask_s:.6},\n    \
-         \"btreeset_s\": {set_s:.6},\n    \"mask_checks_per_s\": {mask_cps:.1},\n    \
-         \"speedup\": {rec_speedup:.3}\n  }},\n  \"des\": {{\n{des_json}\n  }},\n  \
-         \"scale\": {{\n    \
-         \"dp\": {{\n      \"n\": {scale_n},\n      \"k\": {scale_k},\n      \
-         \"reps\": {dp_reps},\n      \"cells\": {dp_cells},\n      \
-         \"dp_ms\": {dp_ms:.4},\n      \"dp_min_ms\": {dp_min_ms:.4},\n      \
-         \"dp_max_ms\": {dp_max_ms:.4},\n      \
-         \"probability\": {p_dp:.9}\n    }},\n    \
-         \"memo\": {{\n      \"n\": {scale_n},\n      \"warm_n\": {memo_warm_n},\n      \
-         \"k\": {scale_k},\n      \"cold_cells\": {memo_cold_cells},\n      \
-         \"warm_cells\": {memo_warm_cells}\n    }},\n    \
-         \"fleet_des\": {{\n      \"machines\": {fleet_machines},\n      \
-         \"events\": {fleet_processed},\n      \"sim_days\": {sim_days:.2},\n      \
-         \"wheel_cascaded\": {wheel_cascaded},\n      \
-         \"wheel_drained\": {wheel_drained},\n      \"reps\": {fleet_reps},\n      \
-         \"wall_s\": {fleet_s:.6},\n      \"wall_min_s\": {fleet_min_s:.6},\n      \
-         \"wall_max_s\": {fleet_max_s:.6},\n      \
-         \"events_per_s\": {fleet_eps:.1}\n    }}\n  }},\n  \
-         \"control_plane\": {{\n{cp_json}\n  }},\n  \
-         \"parallel_metrics\": {{\n    \
-         \"tasks\": {tasks},\n    \"pool_jobs\": {pool_jobs},\n    \
-         \"wall_us\": {wall_us:.1},\n    \"busy_us\": {busy_us:.1}\n  }}\n}}",
-        artifacts = serial_tables.len(),
-        fleet_machines = FLEET_MACHINES,
-        fleet_processed = fleet_fp.processed,
-        wheel_cascaded = fleet_work.cascaded,
-        wheel_drained = fleet_work.drained,
-        bm_tps = trials as f64 / mc_fast_s.max(1e-12),
-        ref_tps = trials as f64 / mc_ref_s.max(1e-12),
-        mc_speedup = mc_ref_s / mc_fast_s.max(1e-12),
-        en_sps = subsets / enum_s.max(1e-12),
-        mask_cps = checks as f64 / mask_s.max(1e-12),
-        rec_speedup = set_s / mask_s.max(1e-12),
-        tasks = stats.tasks,
-        pool_jobs = stats.jobs,
-        wall_us = stats.wall.as_secs_f64() * 1e6,
-        busy_us = stats.busy.as_secs_f64() * 1e6,
-    );
-    // Sanity: the report must be valid JSON.
-    let parsed = gemini_telemetry::json::parse(&pretty);
-    assert!(parsed.is_ok(), "perf report is not valid JSON: {parsed:?}");
+        .map(|&(w, processed, wheel_s, heap_s, speedup)| {
+            let n = processed as f64;
+            let section = json_obj! {
+                "events" => processed, "wheel_s" => wall(wheel_s), "heap_s" => wall(heap_s),
+                "wheel_events_per_s" => per_s(n, wheel_s), "heap_events_per_s" => per_s(n, heap_s),
+                "speedup" => ratio(speedup),
+            };
+            (w.key(), section)
+        });
+    let report = json_obj! {
+        "bench" => "harness", "quick" => quick, "jobs" => jobs, "cpus" => cpus,
+        "figures" => json_obj! {
+            "serial_s" => wall(figures_serial_s), "parallel_s" => wall(figures_par_s),
+            "speedup" => ratio(figures_speedup), "serial_fallback" => figures_fallback,
+            "byte_identical" => byte_identical, "artifacts" => serial_tables.len(),
+        },
+        "monte_carlo" => json_obj! {
+            "trials" => trials, "bitmask_s" => wall(mc_fast_s), "reference_s" => wall(mc_ref_s),
+            "parallel_s" => wall(mc_par_s),
+            "bitmask_trials_per_s" => per_s(trials as f64, mc_fast_s),
+            "reference_trials_per_s" => per_s(trials as f64, mc_ref_s),
+            "kernel_speedup" => ratio(mc_ref_s / mc_fast_s.max(1e-12)),
+            "estimate" => Json::fixed(p_fast, 6),
+        },
+        "enumeration" => json_obj! {
+            "n" => en_n, "k" => en_k, "subsets" => Json::fixed(subsets, 0),
+            "wall_s" => wall(enum_s), "subsets_per_s" => per_s(subsets, enum_s),
+            "probability" => Json::fixed(p_enum, 9),
+        },
+        "recoverable" => json_obj! {
+            "checks" => checks, "mask_s" => wall(mask_s), "btreeset_s" => wall(set_s),
+            "mask_checks_per_s" => per_s(checks as f64, mask_s),
+            "speedup" => ratio(set_s / mask_s.max(1e-12)),
+        },
+        "des" => Json::obj(des_json),
+        "scale" => json_obj! {
+            "dp" => json_obj! {
+                "n" => scale_n, "k" => scale_k, "reps" => dp_reps, "cells" => dp_cells,
+                "dp_ms" => Json::fixed(dp_ms, 4), "dp_min_ms" => Json::fixed(dp_min_ms, 4),
+                "dp_max_ms" => Json::fixed(dp_max_ms, 4), "probability" => Json::fixed(p_dp, 9),
+            },
+            "memo" => json_obj! {
+                "n" => scale_n, "warm_n" => memo_warm_n, "k" => scale_k,
+                "cold_cells" => memo_cold_cells, "warm_cells" => memo_warm_cells,
+            },
+            "fleet_des" => json_obj! {
+                "machines" => FLEET_MACHINES, "events" => fleet_fp.processed,
+                "sim_days" => Json::fixed(sim_days, 2),
+                "wheel_cascaded" => fleet_work.cascaded, "wheel_drained" => fleet_work.drained,
+                "reps" => fleet_reps, "wall_s" => wall(fleet_s),
+                "wall_min_s" => wall(fleet_min_s), "wall_max_s" => wall(fleet_max_s),
+                "events_per_s" => Json::fixed(fleet_eps, 1),
+            },
+        },
+        "control_plane" => Json::Obj(cp_json),
+        "parallel_metrics" => json_obj! {
+            "tasks" => stats.tasks, "pool_jobs" => stats.jobs,
+            "wall_us" => Json::fixed(stats.wall.as_secs_f64() * 1e6, 1),
+            "busy_us" => Json::fixed(stats.busy.as_secs_f64() * 1e6, 1),
+        },
+    };
+    let pretty = report.pretty();
     if let Some(out_path) = &out_path {
         std::fs::write(out_path, format!("{pretty}\n")).unwrap_or_else(|e| {
             eprintln!("error: writing {out_path}: {e}");

@@ -49,6 +49,7 @@ use gemini_bench::BenchCli;
 use gemini_core::policy::PolicySpec;
 use gemini_core::WastedLedger;
 use gemini_harness::{check_policy_preserves_commits, ChaosPlan, ChaosReport, Scenario};
+use gemini_telemetry::{json::Json, json_obj};
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -225,39 +226,23 @@ fn main() {
     );
 
     // ---- splice the "policy" section into the bench report ---------------
-    let per_policy: String = names
-        .iter()
-        .zip(&aggregates)
-        .map(|(n, a)| {
-            format!(
-                "      \"{n}\": {{\n        \"failures\": {},\n        \
-                 \"rework_s\": {:.3},\n        \"downtime_s\": {:.3},\n        \
-                 \"overhead_s\": {:.3},\n        \"wasted_s\": {:.3}\n      }}",
-                a.failures,
-                a.rework.as_secs_f64(),
-                a.downtime.as_secs_f64(),
-                a.overhead.as_secs_f64(),
-                a.total().as_secs_f64()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let seeds_json: String = seeds
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let section = format!(
-        "  \"policy\": {{\n    \"quick\": {quick},\n    \"plans\": {},\n    \
-         \"seeds\": [{seeds_json}],\n    \"cells\": {cells},\n    \
-         \"adaptive_best_or_tied_cells\": {adaptive_wins},\n    \
-         \"adaptive_win_rate\": {win_rate:.3},\n    \
-         \"adaptive_win_rate_knobs\": {win_rate_knobs:.3},\n    \
-         \"safety_violations\": {},\n    \"policies\": {{\n{per_policy}\n    }}\n  }}",
-        plans.len(),
-        safety.len(),
-    );
-    gemini_bench::out::splice_section(out_path.as_deref(), "policy", &section)
+    let secs = |d: gemini_sim::SimDuration| Json::fixed(d.as_secs_f64(), 3);
+    let per_policy = names.iter().zip(&aggregates).map(|(n, a)| {
+        let ledger = json_obj! {
+            "failures" => a.failures, "rework_s" => secs(a.rework),
+            "downtime_s" => secs(a.downtime), "overhead_s" => secs(a.overhead),
+            "wasted_s" => secs(a.total()),
+        };
+        (n.as_str(), ledger)
+    });
+    let section = json_obj! {
+        "quick" => quick, "plans" => plans.len(), "seeds" => seeds.clone(), "cells" => cells,
+        "adaptive_best_or_tied_cells" => adaptive_wins,
+        "adaptive_win_rate" => Json::fixed(win_rate, 3),
+        "adaptive_win_rate_knobs" => Json::fixed(win_rate_knobs, 3),
+        "safety_violations" => safety.len(), "policies" => Json::obj(per_policy),
+    };
+    gemini_bench::out::splice_section(out_path.as_deref(), "policy", section)
         .unwrap_or_else(|e| fail(&e));
 
     // ---- gates -----------------------------------------------------------

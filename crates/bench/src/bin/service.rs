@@ -30,7 +30,7 @@
 
 use gemini_bench::BenchCli;
 use gemini_service::ServiceEngine;
-use gemini_telemetry::TelemetrySink;
+use gemini_telemetry::{json::Json, json_obj, TelemetrySink};
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -221,17 +221,15 @@ fn main() {
     }
 
     // ---- splice the "service" section into the bench report --------------
-    let section = format!(
-        "  \"service\": {{\n    \"quick\": {quick},\n    \"jobs\": {jobs},\n    \
-         \"queries\": {},\n    \"errors\": {},\n    \
-         \"cache_hit_rate\": {cache_hit_rate:.3},\n    \
-         \"answer_hits\": {},\n    \"executions\": {},\n    \
-         \"dedup_collapsed\": 1,\n    \"byte_identical_jobs\": 1,\n    \
-         \"byte_identical_warm\": 1,\n    \"wall_s\": {wall:.3},\n    \
-         \"queries_per_s\": {per_s:.1},\n    \"p50_us\": {p50},\n    \
-         \"p99_us\": {p99}\n  }}",
-        ref_stats.queries, ref_stats.errors, ref_stats.answer_hits, ref_stats.executions,
-    );
-    gemini_bench::out::splice_section(out_path.as_deref(), "service", &section)
+    let section = json_obj! {
+        "quick" => quick, "jobs" => jobs,
+        "queries" => ref_stats.queries, "errors" => ref_stats.errors,
+        "cache_hit_rate" => Json::fixed(cache_hit_rate, 3),
+        "answer_hits" => ref_stats.answer_hits, "executions" => ref_stats.executions,
+        "dedup_collapsed" => 1u64, "byte_identical_jobs" => 1u64, "byte_identical_warm" => 1u64,
+        "wall_s" => Json::fixed(wall, 3), "queries_per_s" => Json::fixed(per_s, 1),
+        "p50_us" => p50, "p99_us" => p99,
+    };
+    gemini_bench::out::splice_section(out_path.as_deref(), "service", section)
         .unwrap_or_else(|e| fail(&e));
 }

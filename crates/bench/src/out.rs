@@ -14,7 +14,8 @@
 //! When none of the flags is present the returned sink is disabled, so the
 //! instrumented code paths cost a single branch.
 
-use gemini_telemetry::TelemetrySink;
+use gemini_telemetry::json::{self, Json};
+use gemini_telemetry::{json_obj, TelemetrySink};
 use std::path::PathBuf;
 
 /// Parsed telemetry-output flags.
@@ -128,38 +129,27 @@ impl TelemetryArgs {
     }
 }
 
-/// Splices `section` (the `"name": {…}` member, indented two spaces)
-/// into the bench report at `out_path`: a previous `name` section is
-/// replaced in place, keeping the members after it, and a new one is
-/// appended; a missing report starts as `{"bench": "harness"}`. With no
+/// Sets the `name` member of the bench report at `out_path` to
+/// `section`: a previous `name` section is replaced in place, keeping the
+/// members after it, and a new one is appended; a missing report starts
+/// as `{"bench": "harness"}`. The report is written back pretty. With no
 /// path (a `--quick` run without `--out`) the section is printed on stdout
 /// as its own object and no file is written.
-pub fn splice_section(out_path: Option<&str>, name: &str, section: &str) -> Result<(), String> {
+pub fn splice_section(out_path: Option<&str>, name: &str, section: Json) -> Result<(), String> {
     let Some(out_path) = out_path else {
-        println!("{{\n{section}\n}}");
+        println!("{}", json_obj! { name => section }.pretty());
         return Ok(());
     };
-    let existing = std::fs::read_to_string(out_path)
-        .unwrap_or_else(|_| "{\n  \"bench\": \"harness\"\n}\n".to_string());
-    let start = format!(",\n  \"{name}\": {{");
-    let (base, tail) = match existing.find(&start) {
-        // The replaced member ends where the next two-space-indented key
-        // (deeper members are indented further) or the object ends.
-        Some(i) => {
-            let rest = &existing[i + start.len()..];
-            let tail = rest.find(",\n  \"").map_or("\n}\n", |j| &rest[j..]);
-            (&existing[..i], tail)
-        }
-        None => match existing.rfind('}') {
-            Some(i) => (existing[..i].trim_end(), "\n}\n"),
-            None => return Err(format!("{out_path} is not a JSON object")),
-        },
+    let mut report = match std::fs::read_to_string(out_path) {
+        Ok(text) => json::parse(&text).map_err(|e| format!("parsing {out_path}: {e}"))?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => json_obj! { "bench" => "harness" },
+        Err(e) => return Err(format!("reading {out_path}: {e}")),
     };
-    let merged = format!("{base},\n{section}{tail}");
-    if let Err(e) = gemini_telemetry::json::parse(&merged) {
-        return Err(format!("spliced bench report is not valid JSON: {e}"));
+    if !report.set(name, section) {
+        return Err(format!("{out_path} is not a JSON object"));
     }
-    std::fs::write(out_path, &merged).map_err(|e| format!("writing {out_path}: {e}"))?;
+    std::fs::write(out_path, report.pretty() + "\n")
+        .map_err(|e| format!("writing {out_path}: {e}"))?;
     eprintln!("spliced \"{name}\" section into {out_path}");
     Ok(())
 }
@@ -194,29 +184,38 @@ mod tests {
         assert!(args.sink().is_enabled());
     }
 
+    /// A fresh path under the temp dir for one test's report.
+    fn report_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("{tag}_{}.json", std::process::id()))
+    }
+
+    fn cells(n: u64) -> Json {
+        json_obj! { "cells" => n, "x" => 0u64 }
+    }
+
     #[test]
     fn a_spliced_section_replaces_its_predecessor() {
-        let path = std::env::temp_dir().join(format!("splice_{}.json", std::process::id()));
+        let path = report_path("splice");
         let path_str = path.to_str().unwrap();
         std::fs::write(&path, "{\n  \"bench\": \"harness\"\n}\n").unwrap();
-        splice_section(Some(path_str), "policy", "  \"policy\": {\"cells\": 1}").unwrap();
-        splice_section(Some(path_str), "policy", "  \"policy\": {\"cells\": 2}").unwrap();
+        splice_section(Some(path_str), "policy", cells(1)).unwrap();
+        splice_section(Some(path_str), "policy", cells(2)).unwrap();
         let merged = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(
             merged,
-            "{\n  \"bench\": \"harness\",\n  \"policy\": {\"cells\": 2}\n}\n"
+            "{\n  \"bench\": \"harness\",\n  \"policy\": {\n    \"cells\": 2,\n    \"x\": 0\n  }\n}\n"
         );
     }
 
     #[test]
     fn re_splicing_a_section_keeps_the_members_after_it() {
-        let path = std::env::temp_dir().join(format!("resplice_{}.json", std::process::id()));
+        let path = report_path("resplice");
         let path_str = path.to_str().unwrap();
-        std::fs::write(&path, "{\n  \"bench\": \"harness\"\n}\n").unwrap();
-        for (name, cells) in [("perf", 1), ("policy", 2), ("service", 3), ("policy", 4)] {
-            let section = format!("  \"{name}\": {{\n    \"cells\": {cells},\n    \"x\": 0\n  }}");
-            splice_section(Some(path_str), name, &section).unwrap();
+        // A missing report is created.
+        let _ = std::fs::remove_file(&path);
+        for (name, n) in [("perf", 1), ("policy", 2), ("service", 3), ("policy", 4)] {
+            splice_section(Some(path_str), name, cells(n)).unwrap();
         }
         let merged = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -237,6 +236,21 @@ mod tests {
 }
 "#;
         assert_eq!(merged, want);
+    }
+
+    #[test]
+    fn a_report_that_is_not_an_object_is_an_error() {
+        let path = report_path("not_object");
+        let path_str = path.to_str().unwrap();
+        std::fs::write(&path, "[1, 2]\n").unwrap();
+        let err = splice_section(Some(path_str), "policy", cells(1)).unwrap_err();
+        assert_eq!(err, format!("{path_str} is not a JSON object"));
+        std::fs::write(&path, "{\"bench\": ").unwrap();
+        let err = splice_section(Some(path_str), "policy", cells(1)).unwrap_err();
+        assert!(err.starts_with(&format!("parsing {path_str}: ")), "{err}");
+        // Neither error touched the file.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"bench\": ");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -143,19 +143,10 @@ impl HierarchicalStore {
         }
     }
 
-    /// Hosts holding a *completed* replica of `owner`'s shard, with the
-    /// iteration each one has.
-    pub fn completed_sources(&self, owner: usize) -> Vec<(usize, u64)> {
-        self.slots
-            .iter()
-            .filter(|((_, o), _)| *o == owner)
-            .filter_map(|((h, _), slot)| slot.completed.map(|m| (*h, m.iteration)))
-            .collect()
-    }
-
-    /// Every owner's [`HierarchicalStore::completed_sources`], indexed by
-    /// owner and in host order, read in one pass over the slots.
-    pub(crate) fn holders(&self) -> Vec<Vec<(usize, u64)>> {
+    /// The store's shard map: for every owner (the index), the hosts
+    /// holding a *completed* replica of its shard with the iteration each
+    /// one has, in host order. Read in one pass over the slots.
+    pub fn holders(&self) -> Vec<Vec<(usize, u64)>> {
         let mut holders = vec![Vec::new(); self.placement.machines()];
         for (&(host, owner), slot) in &self.slots {
             if let Some(meta) = slot.completed {
@@ -171,27 +162,6 @@ impl HierarchicalStore {
     /// persistent storage (§6.2 Case 2).
     pub fn latest_recoverable(&self, cpu_intact: &BTreeSet<usize>) -> Option<u64> {
         latest_common(&self.holders(), |h| cpu_intact.contains(&h))
-    }
-
-    /// A host with intact CPU memory holding `owner`'s shard at exactly
-    /// `iteration`; prefers the owner itself (local retrieval).
-    pub fn source_for(
-        &self,
-        owner: usize,
-        iteration: u64,
-        cpu_intact: &BTreeSet<usize>,
-    ) -> Option<usize> {
-        let mut candidates: Vec<usize> = self
-            .completed_sources(owner)
-            .into_iter()
-            .filter(|(h, it)| cpu_intact.contains(h) && *it == iteration)
-            .map(|(h, _)| h)
-            .collect();
-        candidates.sort_unstable();
-        if candidates.contains(&owner) {
-            return Some(owner);
-        }
-        candidates.first().copied()
     }
 
     /// Copies a completed replica of `owner`'s shard at `iteration` into
@@ -256,6 +226,8 @@ pub(crate) fn latest_common(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::RecoveryPlanner;
+    use gemini_cluster::FailureKind;
 
     fn store(n: usize, m: usize) -> HierarchicalStore {
         HierarchicalStore::new(Placement::mixed(n, m).unwrap(), ByteSize::from_gb(75))
@@ -303,9 +275,20 @@ mod tests {
         // Machine 1's shard survives on its group peer 0.
         let alive = intact(4, &[1]);
         assert_eq!(s.latest_recoverable(&alive), Some(50));
-        assert_eq!(s.source_for(1, 50, &alive), Some(0));
-        // Machine 0 prefers its local copy.
-        assert_eq!(s.source_for(0, 50, &alive), Some(0));
+        assert_eq!(s.holders()[1], vec![(0, 50)]);
+        // The planner reads it from there, and machine 0 reads its local
+        // copy.
+        let plan = RecoveryPlanner
+            .plan(&s, &[(1, FailureKind::Hardware)], &BTreeSet::new())
+            .unwrap();
+        assert_eq!(
+            (plan.sources[1].tier, plan.sources[1].from),
+            (StorageTier::RemoteCpu, Some(0))
+        );
+        assert_eq!(
+            (plan.sources[0].tier, plan.sources[0].from),
+            (StorageTier::LocalCpu, None)
+        );
     }
 
     #[test]
@@ -333,7 +316,8 @@ mod tests {
         s.machine_lost(3);
         s.record_complete(51);
         assert_eq!(s.latest_recoverable(&intact(4, &[])), Some(51));
-        assert_eq!(s.source_for(3, 51, &intact(4, &[])), Some(3));
+        // The replacement holds its own shard again, beside its peer's copy.
+        assert_eq!(s.holders()[3], vec![(2, 51), (3, 51)]);
     }
 
     #[test]
@@ -387,7 +371,7 @@ mod tests {
         // surviving replica on host 0.
         s.adopt_shard(1, 3, 50).unwrap();
         let alive = intact(4, &[1]);
-        assert!(s.completed_sources(1).contains(&(3, 50)));
+        assert_eq!(s.holders()[1], vec![(0, 50), (3, 50)]);
         assert_eq!(s.latest_recoverable(&alive), Some(50));
         // Asking for an iteration nobody holds is an error.
         assert_eq!(
@@ -412,11 +396,23 @@ mod tests {
             s.record_complete(7);
             s
         };
-        let alive = intact(6, &[]);
-        // Owner 4's hosts are {3, 4, 5}; it prefers itself.
-        assert_eq!(s.source_for(4, 7, &alive), Some(4));
+        // Owner 4's hosts are {3, 4, 5}.
+        assert_eq!(s.holders()[4], vec![(3, 7), (4, 7), (5, 7)]);
+        // It prefers itself.
+        let source = |failures: &[(usize, FailureKind)]| {
+            let plan = RecoveryPlanner
+                .plan(&s, failures, &BTreeSet::new())
+                .unwrap();
+            (plan.sources[4].tier, plan.sources[4].from)
+        };
+        assert_eq!(
+            source(&[(4, FailureKind::Software)]),
+            (StorageTier::LocalCpu, None)
+        );
         // If owner 4 is gone, the lowest surviving host serves.
-        let holed = intact(6, &[4]);
-        assert_eq!(s.source_for(4, 7, &holed), Some(3));
+        assert_eq!(
+            source(&[(4, FailureKind::Hardware)]),
+            (StorageTier::RemoteCpu, Some(3))
+        );
     }
 }

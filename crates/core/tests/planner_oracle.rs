@@ -70,9 +70,10 @@ impl World {
         for &h in hardware.union(empty) {
             store.machine_lost(h);
         }
-        let holders = (0..placement.machines())
-            .map(|owner| {
-                let sources = store.completed_sources(owner);
+        let holders = store
+            .holders()
+            .into_iter()
+            .map(|sources| {
                 assert!(sources.iter().all(|&(_, it)| it == L), "host-level state");
                 sources.into_iter().map(|(h, _)| h).collect()
             })

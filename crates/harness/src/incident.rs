@@ -31,8 +31,8 @@
 use crate::chaos::ChaosReport;
 use crate::report::Table;
 use gemini_sim::{SimDuration, SimTime};
-use gemini_telemetry::json::escape;
 use gemini_telemetry::{intern_label, CausalKind, FlowPhase, Key, Phase, TelemetrySink};
+use gemini_telemetry::{json::Json, json_obj};
 use std::collections::BTreeMap;
 
 /// Bucket bounds (µs) for the per-plan `chaos.detection_latency_us`
@@ -521,103 +521,58 @@ pub fn attribution_table(report: &ChaosReport) -> Table {
     t
 }
 
-fn json_secs(d: SimDuration) -> String {
-    format!("{:.9}", d.as_secs_f64())
+/// Seconds to the nanosecond, as the incident JSON writes them.
+fn json_secs(d: SimDuration) -> Json {
+    Json::fixed(d.as_secs_f64(), 9)
 }
 
-/// Per-run incident JSON, assembled field by field so its bytes are
-/// deterministic.
-pub fn incidents_json(report: &ChaosReport) -> String {
+/// One run's incident document: the per-incident postmortems, the
+/// attribution rows, the wasted-time ledger and the exactness verdict.
+pub fn incidents_json(report: &ChaosReport) -> Json {
     let analysis = analyze(report);
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"plan\": \"{}\",\n  \"seed\": {},\n",
-        escape(&report.plan_name),
-        report.seed
-    ));
-    out.push_str("  \"incidents\": [");
-    for (i, inc) in analysis.incidents.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        out.push_str(&format!(
-            "\"id\": {}, \"ranks\": {:?}, \"group\": \"{}\", \"epoch\": {}, \
-             \"case\": \"{}\", \"rollback_to\": {}, \"complete\": {}, \
-             \"detection_latency_s\": {}, \"downtime_s\": {}, \"rework_s\": {}, \
-             \"tiers\": {{\"local\": {}, \"remote\": {}, \"persistent\": {}}}",
-            inc.id,
-            inc.ranks,
-            escape(&inc.group),
-            inc.policy_epoch,
-            escape(&inc.case),
-            inc.rollback_to,
-            inc.is_complete(),
-            json_secs(inc.detection_latency),
-            json_secs(inc.downtime()),
-            json_secs(inc.rework),
-            inc.tiers.0,
-            inc.tiers.1,
-            inc.tiers.2,
-        ));
+    let incidents = analysis.incidents.iter().map(|inc| {
+        let mut doc = json_obj! {
+            "id" => inc.id, "ranks" => inc.ranks.clone(), "group" => inc.group.as_str(),
+            "epoch" => inc.policy_epoch, "case" => inc.case.as_str(),
+            "rollback_to" => inc.rollback_to, "complete" => inc.is_complete(),
+            "detection_latency_s" => json_secs(inc.detection_latency),
+            "downtime_s" => json_secs(inc.downtime()), "rework_s" => json_secs(inc.rework),
+            "tiers" => json_obj! {
+                "local" => inc.tiers.0, "remote" => inc.tiers.1, "persistent" => inc.tiers.2,
+            },
+        };
         if let Some(phases) = inc.phase_durations() {
-            out.push_str(", \"phases\": {");
-            for (j, (p, d)) in phases.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", p.label(), json_secs(*d)));
-            }
-            out.push('}');
-            out.push_str(", \"critical_path\": [");
-            for (j, (p, d)) in inc.critical_path().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"phase\": \"{}\", \"seconds\": {}}}",
-                    p.label(),
-                    json_secs(*d)
-                ));
-            }
-            out.push(']');
-            out.push_str(&format!(
-                ", \"bounding_phase\": \"{}\"",
-                inc.bounding_phase().map_or("-", |p| p.label())
-            ));
+            let path = inc.critical_path().into_iter().map(|(p, d)| {
+                json_obj! { "phase" => p.label(), "seconds" => json_secs(d) }
+            });
+            let phases = phases.iter().map(|(p, d)| (p.label(), json_secs(*d)));
+            doc.set("phases", Json::obj(phases));
+            doc.set("critical_path", Json::Arr(path.collect()));
+            doc.set(
+                "bounding_phase",
+                inc.bounding_phase().map_or("-", |p| p.label()).into(),
+            );
         }
-        out.push('}');
-    }
-    out.push_str("\n  ],\n");
-    out.push_str("  \"attribution\": [");
-    for (i, row) in analysis.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        doc
+    });
+    let rows = analysis.rows.iter().map(|row| {
+        json_obj! {
+            "incident" => row.incident, "phase" => row.phase.label(),
+            "group" => row.group.as_str(), "epoch" => row.policy_epoch,
+            "seconds" => json_secs(row.amount),
         }
-        out.push_str(&format!(
-            "\n    {{\"incident\": {}, \"phase\": \"{}\", \"group\": \"{}\", \
-             \"epoch\": {}, \"seconds\": {}}}",
-            row.incident.map_or("null".to_string(), |v| v.to_string()),
-            row.phase.label(),
-            escape(&row.group),
-            row.policy_epoch,
-            json_secs(row.amount),
-        ));
+    });
+    let wasted = &report.wasted;
+    json_obj! {
+        "plan" => report.plan_name.as_str(), "seed" => report.seed,
+        "incidents" => Json::Arr(incidents.collect()),
+        "attribution" => Json::Arr(rows.collect()),
+        "ledger" => json_obj! {
+            "rework_s" => json_secs(wasted.rework), "downtime_s" => json_secs(wasted.downtime),
+            "overhead_s" => json_secs(wasted.overhead), "total_s" => json_secs(wasted.total()),
+        },
+        "attribution_exact" => analysis.attribution_exact(),
     }
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"ledger\": {{\"rework_s\": {}, \"downtime_s\": {}, \"overhead_s\": {}, \
-         \"total_s\": {}}},\n",
-        json_secs(report.wasted.rework),
-        json_secs(report.wasted.downtime),
-        json_secs(report.wasted.overhead),
-        json_secs(report.wasted.total()),
-    ));
-    out.push_str(&format!(
-        "  \"attribution_exact\": {}\n}}\n",
-        analysis.attribution_exact()
-    ));
-    out
 }
 
 /// Projects a finished run's flight-recorder analysis into an enabled
@@ -788,14 +743,8 @@ mod tests {
             .seed(2)
             .run()
             .unwrap();
-        let a = incidents_json(&report);
-        let b = incidents_json(&report);
-        assert_eq!(a, b);
-        assert_eq!(
-            a.matches('{').count(),
-            a.matches('}').count(),
-            "unbalanced JSON:\n{a}"
-        );
+        let a = incidents_json(&report).pretty();
+        assert_eq!(a, incidents_json(&report).pretty());
         assert!(a.contains("\"attribution_exact\": true"), "{a}");
         let table = postmortem(&report);
         assert_eq!(table.headers.len(), 13);

@@ -1,6 +1,6 @@
 //! Minimal markdown/CSV/JSON table rendering for experiment output.
 
-use gemini_telemetry::json::escape;
+use gemini_telemetry::json_obj;
 
 /// A rectangular table with a title, headers and string cells.
 #[derive(Clone, Debug, Default)]
@@ -41,32 +41,15 @@ impl Table {
         out
     }
 
-    /// Renders pretty JSON (`title`, `headers`, `rows`) in the standard
-    /// layout: two-space indent, `"key": value`, one array element per
-    /// line and `[]` for an empty array.
+    /// Renders pretty JSON (`title`, `headers`, `rows`), in
+    /// [`gemini_telemetry::json::Json::pretty`]'s layout.
     pub fn to_json(&self) -> String {
-        let array = |items: Vec<String>, indent: &str| {
-            if items.is_empty() {
-                return "[]".to_string();
-            }
-            let sep = format!(",\n{indent}  ");
-            format!("[\n{indent}  {}\n{indent}]", items.join(&sep))
+        let table = json_obj! {
+            "title" => self.title.as_str(),
+            "headers" => self.headers.clone(),
+            "rows" => self.rows.clone(),
         };
-        let strings = |cells: &[String], indent: &str| {
-            array(
-                cells.iter().map(|c| format!("\"{}\"", escape(c))).collect(),
-                indent,
-            )
-        };
-        let rows = array(
-            self.rows.iter().map(|row| strings(row, "    ")).collect(),
-            "  ",
-        );
-        format!(
-            "{{\n  \"title\": \"{}\",\n  \"headers\": {},\n  \"rows\": {rows}\n}}",
-            escape(&self.title),
-            strings(&self.headers, "  ")
-        )
+        table.pretty()
     }
 
     /// Renders RFC 4180 CSV: fields containing a comma, a double quote,

@@ -38,7 +38,7 @@
 //! runs a clone of the catalog plan with its `machines`/`replicas`
 //! overrides applied in place.
 //!
-//! Requests are read, and responses escaped, with the workspace's one
+//! Requests are read, and responses written, with the workspace's one
 //! JSON module, [`gemini_telemetry::json`].
 //!
 //! Determinism is the load-bearing guarantee: a response depends only on
@@ -56,7 +56,8 @@ use gemini_core::policy::PolicySpec;
 use gemini_core::{MemoCache, PlacementSpecKey, RecoveryMemo};
 use gemini_harness::{ChaosPlan, DrillConfig, Scenario};
 use gemini_parallel::{par_map, SingleFlight};
-use gemini_telemetry::{json, TelemetrySink};
+use gemini_telemetry::json::{self, Json};
+use gemini_telemetry::TelemetrySink;
 use std::sync::Arc;
 
 /// Entries the answer memo holds at most. Past the cap, answers are still
@@ -153,21 +154,19 @@ impl ServiceEngine {
                     .as_ref()
                     .and_then(|v| query_id(v).ok())
                     .unwrap_or_default();
-                let kind = match v.as_ref().and_then(known_kind) {
-                    Some(kind) => format!("\"kind\":\"{kind}\","),
-                    None => String::new(),
-                };
-                return format!(
-                    "{{\"id\":\"{}\",{kind}\"ok\":false,\"error\":\"{}\"}}",
-                    json::escape(&id),
-                    json::escape(&e)
-                );
+                let mut members = vec![("id", Json::from(id))];
+                if let Some(kind) = v.as_ref().and_then(known_kind) {
+                    members.push(("kind", Json::from(kind)));
+                }
+                members.push(("ok", Json::from(false)));
+                members.push(("error", Json::from(e)));
+                return Json::obj(members).compact();
             }
         };
         let key = query.canonical();
         let tail = self.answers.get(&key).unwrap_or_else(|| {
             let (tail, _led) = self.flight.run(key.clone(), || {
-                let tail: Arc<str> = self.answer_tail(&query).into();
+                let tail = self.answer_tail(&query);
                 // Memoized before the flight lands, so a caller arriving
                 // after it finds the answer.
                 if key.len() + tail.len() <= ANSWER_MEMO_ENTRY_BYTES {
@@ -177,7 +176,7 @@ impl ServiceEngine {
             });
             tail
         });
-        format!("{{\"id\":\"{}\",{tail}}}", json::escape(&query.id))
+        format!("{{\"id\":{},{tail}}}", Json::Str(query.id).compact())
     }
 
     /// Serves a batch of request lines across `jobs` workers, responses
@@ -257,18 +256,16 @@ impl ServiceEngine {
     /// This is the unit the answer memo and the single-flight layer share
     /// between tenants: identical canonical queries from different ids get
     /// the same tail.
-    fn answer_tail(&self, query: &Query) -> String {
-        let kind = query.kind_tag();
-        match self.answer(&query.kind) {
-            Ok(body) => format!(
-                "\"kind\":\"{kind}\",\"ok\":true,\"body\":\"{}\"",
-                json::escape(&body)
-            ),
-            Err(e) => format!(
-                "\"kind\":\"{kind}\",\"ok\":false,\"error\":\"{}\"",
-                json::escape(&e)
-            ),
-        }
+    fn answer_tail(&self, query: &Query) -> Arc<str> {
+        let outcome = match self.answer(&query.kind) {
+            Ok(body) => [("ok", Json::from(true)), ("body", Json::from(body))],
+            Err(e) => [("ok", Json::from(false)), ("error", Json::from(e))],
+        };
+        let mut members = vec![("kind", Json::from(query.kind_tag()))];
+        members.extend(outcome);
+        // The tail is the response object's members: drop its braces.
+        let object = Json::obj(members).compact();
+        Arc::from(&object[1..object.len() - 1])
     }
 
     fn answer(&self, kind: &QueryKind) -> Result<String, String> {
@@ -435,6 +432,19 @@ mod tests {
     }
 
     #[test]
+    fn ids_echo_the_last_duplicate_and_a_numeric_value() {
+        let e = engine();
+        let echo = |id: &str| {
+            let line = format!(r#"{{"id":{id},"kind":"recoverability","machines":16}}"#);
+            let resp = e.serve_line(&line);
+            resp[..resp.find(",\"kind\"").unwrap()].to_string()
+        };
+        assert_eq!(echo(r#""a","id":"b""#), r#"{"id":"b""#);
+        assert_eq!(echo("1.0"), r#"{"id":"1""#);
+        assert_eq!(echo("1e2"), r#"{"id":"100""#);
+    }
+
+    #[test]
     fn error_responses_keep_numeric_ids_like_answers_do() {
         let e = engine();
         let bad = e.serve_line(r#"{"id":5,"kind":"recoverability","machines":0}"#);
@@ -486,8 +496,8 @@ mod tests {
         let resp = e.serve_line(r#"{"id":"d","kind":"drill","seed":1}"#);
         let direct = Scenario::drill(DrillConfig::fig14()).run().unwrap();
         let expected = format!(
-            "\"kind\":\"drill\",\"ok\":true,\"body\":\"{}\"",
-            json::escape(&direct.render())
+            "\"kind\":\"drill\",\"ok\":true,\"body\":{}",
+            Json::from(direct.render()).compact()
         );
         assert_eq!(resp, format!("{{\"id\":\"d\",{expected}}}"));
     }

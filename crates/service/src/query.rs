@@ -198,8 +198,10 @@ pub(crate) fn query_id(v: &Json) -> Result<String, String> {
     match v.get("id") {
         None => Ok(String::new()),
         Some(Json::Str(s)) => Ok(s.clone()),
-        Some(Json::Num(n)) => Ok(format_f64(*n)),
-        Some(_) => Err("\"id\" must be a string or number".to_string()),
+        Some(id) => id
+            .as_f64()
+            .map(format_f64)
+            .ok_or_else(|| "\"id\" must be a string or number".to_string()),
     }
 }
 

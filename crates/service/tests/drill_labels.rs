@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 use gemini_harness::{ChaosPlan, DrillConfig, Scenario};
 use gemini_service::ServiceEngine;
-use gemini_telemetry::json::escape;
+use gemini_telemetry::json::Json;
 use gemini_telemetry::metrics::interned_label_count;
 use gemini_telemetry::TelemetrySink;
 
@@ -38,8 +38,8 @@ fn drill_queries_intern_no_labels_and_match_the_builder() {
         assert_eq!(
             *response,
             format!(
-                "{{\"id\":\"d{seed}\",\"kind\":\"drill\",\"ok\":true,\"body\":\"{}\"}}",
-                escape(&direct.render())
+                "{{\"id\":\"d{seed}\",\"kind\":\"drill\",\"ok\":true,\"body\":{}}}",
+                Json::from(direct.render()).compact()
             )
         );
     }
@@ -78,8 +78,8 @@ fn chaos_and_lookahead_queries_intern_no_labels_and_match_the_builder() {
         assert_eq!(
             *response,
             format!(
-                "{{\"id\":\"c{seed}\",\"kind\":\"chaos\",\"ok\":true,\"body\":\"{}\"}}",
-                escape(&direct.render())
+                "{{\"id\":\"c{seed}\",\"kind\":\"chaos\",\"ok\":true,\"body\":{}}}",
+                Json::from(direct.render()).compact()
             )
         );
     }

@@ -19,8 +19,9 @@
 //! simulation always yields byte-identical output.
 
 use crate::event::TimedEvent;
-use crate::json::escape;
 use crate::spans::{FlowRecord, SpanRecord};
+use crate::{json::Json, json_obj};
+use gemini_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// Assigns tids to tracks in first-use order (spans, then instants, then
@@ -30,115 +31,71 @@ fn track_ids<'a>(
     events: &'a [TimedEvent],
     flows: &'a [FlowRecord],
 ) -> (Vec<&'a str>, BTreeMap<&'a str, usize>) {
-    let mut order: Vec<&str> = Vec::new();
-    let mut ids: BTreeMap<&str, usize> = BTreeMap::new();
-    let intern = |track: &'a str, order: &mut Vec<&'a str>, ids: &mut BTreeMap<&'a str, usize>| {
-        if !ids.contains_key(track) {
-            ids.insert(track, order.len());
+    let mut order = Vec::new();
+    let mut ids = BTreeMap::new();
+    let tracks = spans.iter().map(|s| s.track);
+    let tracks = tracks.chain(events.iter().map(|e| e.event.track()));
+    for track in tracks.chain(flows.iter().map(|f| f.track)) {
+        ids.entry(track).or_insert_with(|| {
             order.push(track);
-        }
-    };
-    for s in spans {
-        intern(s.track, &mut order, &mut ids);
-    }
-    for e in events {
-        intern(e.event.track(), &mut order, &mut ids);
-    }
-    for f in flows {
-        intern(f.track, &mut order, &mut ids);
+            order.len() - 1
+        });
     }
     (order, ids)
 }
 
 /// Renders spans, instant events and flow arrows as a Chrome trace-event
-/// JSON document.
+/// JSON document: a fixed wrapper holding one compact event per line, so
+/// the whole trace is never built as one value.
 pub fn chrome_trace(spans: &[SpanRecord], events: &[TimedEvent], flows: &[FlowRecord]) -> String {
     let (order, ids) = track_ids(spans, events, flows);
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, item: String| {
-        if !*first {
+    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    let mut push = |event: Json| {
+        if !out.ends_with('[') {
             out.push(',');
         }
-        *first = false;
         out.push_str("\n  ");
-        out.push_str(&item);
+        out.push_str(&event.compact());
     };
+    let us = |t: SimTime| t.as_nanos() / 1_000;
 
-    push(
-        &mut out,
-        &mut first,
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"gemini-sim\"}}"
-            .to_string(),
-    );
-    for (tid, track) in order.iter().enumerate() {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(track)
-            ),
-        );
+    push(json_obj! {
+        "ph" => "M", "pid" => 1u64, "name" => "process_name",
+        "args" => json_obj! { "name" => "gemini-sim" },
+    });
+    for (tid, &track) in order.iter().enumerate() {
+        push(json_obj! {
+            "ph" => "M", "pid" => 1u64, "tid" => tid, "name" => "thread_name",
+            "args" => json_obj! { "name" => track },
+        });
     }
-
     for s in spans {
-        let tid = ids[s.track];
-        let ts = s.start.as_nanos() / 1_000;
-        let dur = s.duration().as_nanos() / 1_000;
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\
-                 \"cat\":\"{}\",\"name\":\"{}\"}}",
-                escape(s.track),
-                escape(&s.name)
-            ),
-        );
+        push(json_obj! {
+            "ph" => "X", "pid" => 1u64, "tid" => ids[s.track], "ts" => us(s.start),
+            "dur" => s.duration().as_nanos() / 1_000, "cat" => s.track, "name" => s.name.as_str(),
+        });
     }
-
     for e in events {
-        let tid = ids[e.event.track()];
-        let ts = e.time.as_nanos() / 1_000;
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\
-                 \"cat\":\"{}\",\"name\":\"{}\",\
-                 \"args\":{{\"message\":\"{}\"}}}}",
-                escape(e.event.track()),
-                escape(e.event.name()),
-                escape(&format!("{:?}", e.event))
-            ),
-        );
+        let track = e.event.track();
+        push(json_obj! {
+            "ph" => "i", "pid" => 1u64, "tid" => ids[track], "ts" => us(e.time), "s" => "t",
+            "cat" => track, "name" => e.event.name(),
+            "args" => json_obj! { "message" => format!("{:?}", e.event) },
+        });
     }
-
     for fl in flows {
-        let tid = ids[fl.track];
-        let ts = fl.at.as_nanos() / 1_000;
+        let mut event = json_obj! {
+            "ph" => fl.phase.ph(), "pid" => 1u64, "tid" => ids[fl.track], "ts" => us(fl.at),
+            "id" => fl.id,
+        };
         // "f" (finish) hops carry `"bp":"e"` so the arrow binds to the
         // enclosing slice, matching what chrome://tracing expects.
-        let bp = match fl.phase.ph() {
-            "f" => ",\"bp\":\"e\"",
-            _ => "",
-        };
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"{}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"id\":{}{bp},\
-                 \"cat\":\"{}\",\"name\":\"{}\"}}",
-                fl.phase.ph(),
-                fl.id,
-                escape(fl.track),
-                escape(&fl.name)
-            ),
-        );
+        if fl.phase.ph() == "f" {
+            event.set("bp", "e".into());
+        }
+        event.set("cat", fl.track.into());
+        event.set("name", fl.name.as_str().into());
+        push(event);
     }
 
     out.push_str("\n]}\n");

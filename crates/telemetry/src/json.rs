@@ -1,48 +1,140 @@
 //! The workspace's one JSON module, with no external dependencies: a
-//! minimal reader plus the string escaper every writer uses.
+//! reader and a writer over one value type, [`Json`].
 //!
-//! The reader is a recursive-descent parser over the full JSON grammar
-//! that produces a [`Json`] tree. As the service's front door it is built
-//! for hostile input: errors carry the byte offset (a malformed query
-//! line gets a per-query diagnostic instead of killing the serve loop),
-//! nesting is bounded so no line can overflow a worker's stack, and
-//! parsing is linear in the input. Writers assemble documents field by
-//! field with `format!` around [`escape`], so their bytes are
-//! deterministic.
-
-use std::collections::BTreeMap;
+//! The reader ([`parse`]) is a recursive-descent parser over the full
+//! grammar, built for hostile input as the service's front door: errors
+//! carry the byte offset, nesting is bounded so no line can overflow a
+//! worker's stack, and parsing is linear in the input. Objects keep their
+//! members in input order, duplicates included.
+//!
+//! The writer is the only code that lays out JSON text, in two forms:
+//! [`Json::pretty`] is Python's `json.dumps(v, indent=2,
+//! ensure_ascii=False)` and [`Json::compact`] adds `separators=(",",
+//! ":")`. A number carries its text: the reader keeps the literal it read,
+//! and writers make numbers only through typed constructors (`From` an
+//! integer, [`Json::fixed`], [`Json::float`]), so every written document
+//! parses back and its bytes are deterministic.
 
 /// The deepest array/object nesting [`parse`] accepts, the usual limit of
 /// Rust JSON readers. The parser recurses once per level, so this bounds
 /// its stack.
-const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value. Objects use a `BTreeMap`, so key iteration (and
-/// therefore any canonical re-rendering) is deterministic regardless of
-/// the key order in the request.
+/// A JSON value. Objects are member lists in insertion (or input) order,
+/// so a document is written back in the order it was built or read.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (JSON does not distinguish integers).
-    Num(f64),
+    /// A number, as its text.
+    Num(Number),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object.
-    Obj(BTreeMap<String, Json>),
+    /// An object: its members in order, duplicate keys kept.
+    Obj(Vec<(String, Json)>),
+}
+
+/// The text of a JSON number: the literal the reader read, or what a
+/// typed constructor wrote. Two numbers are equal when their texts are.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Number(String);
+
+/// A [`Json`] object literal, members in the order written, each value
+/// converted with `Json::from`:
+/// `json_obj! { "plan" => name, "seed" => 1u64, "wasted_s" => Json::fixed(w, 3) }`.
+#[macro_export]
+macro_rules! json_obj {
+    ($($key:expr => $value:expr),* $(,)?) => {
+        $crate::json::Json::Obj(vec![$(($key.into(), $crate::json::Json::from($value))),*])
+    };
+}
+
+/// `From` conversions: each `type => |value| json` arm is one impl.
+macro_rules! from {
+    ($($t:ty => |$v:ident| $json:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $json
+            }
+        }
+    )*};
+}
+
+from! {
+    bool => |b| Json::Bool(b),
+    &str => |s| Json::Str(s.to_string()),
+    String => |s| Json::Str(s),
+    u32 => |n| Json::Num(Number(n.to_string())),
+    u64 => |n| Json::Num(Number(n.to_string())),
+    usize => |n| Json::Num(Number(n.to_string())),
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
 }
 
 impl Json {
-    /// Member lookup on an object; `None` for absent keys or non-objects.
+    /// An object with `members` in the given order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// `x` with exactly `decimals` digits after the point, as `{:.N}`
+    /// prints it; `null` when `x` is not finite.
+    pub fn fixed(x: f64, decimals: usize) -> Json {
+        if x.is_finite() {
+            Json::Num(Number(format!("{x:.decimals$}")))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// `x` in the shortest text that reads back to the same `f64`, with a
+    /// `.0` on an integral value below 10^15 so it still reads as a float;
+    /// `null` when `x` is not finite.
+    pub fn float(x: f64) -> Json {
+        if x.fract() == 0.0 && x.abs() < 1e15 {
+            Json::fixed(x, 1)
+        } else if x.is_finite() {
+            Json::Num(Number(x.to_string()))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// The *last* member named `key` of an object (a later duplicate
+    /// overrides an earlier one); `None` for absent keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(map) => map.get(key),
+            Json::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Sets the member `key` of an object: the member [`Json::get`] finds
+    /// takes `value` in place, or a new member is appended. Returns
+    /// `false`, changing nothing, on a non-object.
+    pub fn set(&mut self, key: &str, value: Json) -> bool {
+        let Json::Obj(members) = self else {
+            return false;
+        };
+        match members.iter_mut().rev().find(|(k, _)| k == key) {
+            Some(member) => member.1 = value,
+            None => members.push((key.to_string(), value)),
+        }
+        true
     }
 
     /// The string payload, if this is a string.
@@ -53,12 +145,21 @@ impl Json {
         }
     }
 
+    /// The number's value, if this is a number (JSON does not
+    /// distinguish integers).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            // Every text was made by `f64`'s own formatting or accepted by
+            // its parser, so it parses.
+            Json::Num(n) => n.0.parse().ok(),
+            _ => None,
+        }
+    }
+
     /// The number as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+        match self.as_f64()? {
+            n if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
             _ => None,
         }
     }
@@ -70,14 +171,83 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The value in Python's `json.dumps(v, indent=2, ensure_ascii=False)`
+    /// layout: one member or element per line, two spaces per level,
+    /// `"key": value`, and `[]`/`{}` for empty containers.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// The value on one line with no spaces, Python's
+    /// `separators=(",", ":")`.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value; `indent` is the nesting level in the pretty
+    /// form, `None` in the compact one.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => out.push_str(&n.0),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_seq(out, indent, ('[', ']'), items, |out, item, inner| {
+                item.write(out, inner)
+            }),
+            Json::Obj(members) => {
+                write_seq(out, indent, ('{', '}'), members, |out, (k, v), inner| {
+                    write_str(out, k);
+                    out.push_str(if inner.is_some() { ": " } else { ":" });
+                    v.write(out, inner)
+                })
+            }
+        }
+    }
 }
 
-/// Escapes `s` for embedding inside a JSON string literal (without the
-/// surrounding quotes): `"`, `\` and the control characters, with the
-/// short forms where JSON has one and `\u00xx` otherwise. This is the
-/// escape set of Python's `json.dumps(..., ensure_ascii=False)`.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Writes a container: `open`, each of `items` written by `item` one
+/// level deeper (on its own line in the pretty form), then `close`.
+fn write_seq<T>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: &[T],
+    item: impl Fn(&mut String, &T, Option<usize>),
+) {
+    let inner = indent.map(|level| level + 1);
+    out.push(open);
+    for (i, x) in items.iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        newline(out, inner);
+        item(out, x, inner);
+    }
+    if !items.is_empty() {
+        newline(out, indent);
+    }
+    out.push(close);
+}
+
+/// Starts a pretty-form line at nesting `level`; nothing in the compact
+/// form.
+fn newline(out: &mut String, level: Option<usize>) {
+    if let Some(level) = level {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
+    }
+}
+
+/// Writes `s` as a string literal. The escapes are Python's
+/// `json.dumps(..., ensure_ascii=False)`: `"`, `\` and the control
+/// characters, with the short forms where JSON has one and `\u00xx`
+/// otherwise.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
     // Every byte that needs escaping is ASCII, so the runs between them
     // end on char boundaries and are copied whole.
     let mut run = 0;
@@ -99,7 +269,7 @@ pub fn escape(s: &str) -> String {
         }
     }
     out.push_str(&s[run..]);
-    out
+    out.push('"');
 }
 
 /// Parses one complete JSON document; trailing non-whitespace is an
@@ -202,9 +372,10 @@ impl<'a> Parser<'a> {
             }
         }
         let raw = &self.text[start..self.pos];
-        raw.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {raw:?} at byte {start}"))
+        match raw.parse::<f64>() {
+            Ok(_) => Ok(Json::Num(Number(raw.to_string()))),
+            Err(_) => Err(format!("bad number {raw:?} at byte {start}")),
+        }
     }
 
     /// The code unit of the `\uXXXX` escape whose `u` is at `self.pos`;
@@ -295,11 +466,11 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(Json::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -308,13 +479,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(Json::Obj(members));
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
@@ -381,14 +552,12 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
-        assert_eq!(escape("a\"b\\c\nd"), r#"a\"b\\c\nd"#);
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(escape("\u{8}\u{c}\u{7f}—"), "\\b\\f\u{7f}—");
+        let lit = |s: &str| Json::from(s).compact();
+        assert_eq!(lit("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(lit("\u{1}"), "\"\\u0001\"");
+        assert_eq!(lit("\u{8}\u{c}\u{7f}—"), "\"\\b\\f\u{7f}—\"");
         let all: String = (0u8..0x80).map(char::from).chain("—😀".chars()).collect();
-        assert_eq!(
-            parse(&format!("\"{}\"", escape(&all))).unwrap().as_str(),
-            Some(&*all)
-        );
+        assert_eq!(parse(&lit(&all)).unwrap().as_str(), Some(&*all));
     }
 
     #[test]
@@ -461,5 +630,72 @@ mod tests {
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("1e2").unwrap().as_u64(), Some(100));
+    }
+
+    #[test]
+    fn numbers_keep_their_text() {
+        let v = parse(r#"[1.0, 1e2, -0.50, 7]"#).unwrap();
+        assert_eq!(v.compact(), "[1.0,1e2,-0.50,7]");
+        assert_eq!(v.as_array().unwrap()[1].as_f64(), Some(100.0));
+    }
+
+    #[test]
+    fn members_come_back_in_input_order_and_the_last_duplicate_wins() {
+        let v = parse(r#"{"z":1,"a":2,"m":{"y":3,"b":4},"a":5}"#).unwrap();
+        let Json::Obj(members) = &v else { panic!() };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["z", "a", "m", "a"]);
+        assert_eq!(v.get("a").and_then(Json::as_u64), Some(5));
+        assert_eq!(v.compact(), r#"{"z":1,"a":2,"m":{"y":3,"b":4},"a":5}"#);
+        let id = parse(r#"{"id":"a","id":"b"}"#).unwrap();
+        assert_eq!(id.get("id").and_then(Json::as_str), Some("b"));
+    }
+
+    #[test]
+    fn set_replaces_in_place_or_appends() {
+        let mut v = parse(r#"{"a":1,"b":2,"a":3,"c":4}"#).unwrap();
+        assert!(v.set("a", Json::from(9u64)));
+        assert!(v.set("d", Json::Null));
+        assert_eq!(v.compact(), r#"{"a":1,"b":2,"a":9,"c":4,"d":null}"#);
+        assert_eq!(v.get("a"), Some(&Json::from(9u64)));
+        assert!(!Json::from(1u64).set("a", Json::Null));
+    }
+
+    #[test]
+    fn typed_numbers_and_non_finite_values() {
+        assert_eq!(Json::fixed(2.0 / 3.0, 3).compact(), "0.667");
+        assert_eq!(Json::fixed(99_884_400.0, 0).compact(), "99884400");
+        assert_eq!(Json::float(1_905_799.0).compact(), "1905799.0");
+        assert_eq!(Json::float(0.1 + 0.2).compact(), "0.30000000000000004");
+        assert_eq!(Json::float(1e15).compact(), "1000000000000000");
+        assert_eq!(Json::from(u64::MAX).compact(), "18446744073709551615");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::fixed(x, 3), Json::Null);
+            assert_eq!(Json::float(x), Json::Null);
+            assert_eq!(Json::fixed(x, 3).compact(), "null");
+        }
+    }
+
+    #[test]
+    fn both_forms_match_python() {
+        let v = Json::obj([
+            ("a", Json::from(vec![1u64, 2])),
+            ("e", Json::Arr(vec![])),
+            ("o", Json::obj([("k", Json::Null)])),
+            ("n", Json::obj::<&str>([])),
+            ("s", Json::from("é\u{1}")),
+        ]);
+        // json.dumps(v, indent=2, ensure_ascii=False)
+        assert_eq!(
+            v.pretty(),
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"e\": [],\n  \"o\": {\n    \"k\": null\n  },\n  \
+             \"n\": {},\n  \"s\": \"é\\u0001\"\n}"
+        );
+        // json.dumps(v, separators=(",", ":"), ensure_ascii=False)
+        assert_eq!(
+            v.compact(),
+            r#"{"a":[1,2],"e":[],"o":{"k":null},"n":{},"s":"é\u0001"}"#
+        );
+        assert_eq!(Json::from(true).pretty(), "true");
     }
 }

@@ -19,8 +19,9 @@
 //!   Chrome trace-event JSON that loads directly into Perfetto /
 //!   `chrome://tracing`, with one track per subsystem.
 //!
-//! It also hosts the workspace's one JSON module, [`json`] (reader and
-//! escaper), which every crate that reads or writes JSON uses.
+//! It also hosts the workspace's one JSON module, [`json`] (a value type
+//! with its reader and writer), which every crate that reads or writes
+//! JSON uses.
 //!
 //! # Zero cost when disabled
 //!

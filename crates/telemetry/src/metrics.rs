@@ -5,6 +5,7 @@
 //! exporters iterate in key order, making exports byte-deterministic for
 //! deterministic simulations.
 
+use crate::{json::Json, json_obj};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -77,12 +78,7 @@ impl Key {
     /// Human-readable form: `name`, `name{key="value"}` or
     /// `name{k1="v1",k2="v2"}`.
     pub fn display(&self) -> String {
-        let pairs = self.label_pairs();
-        if pairs.is_empty() {
-            return self.name.to_string();
-        }
-        let body: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-        format!("{}{{{}}}", self.name, body.join(","))
+        format!("{}{}", self.name, labels(self, None))
     }
 }
 
@@ -371,73 +367,32 @@ impl MetricsRegistry {
         out
     }
 
-    /// Renders the whole registry as a JSON object.
+    /// Renders the whole registry as a pretty JSON object: counters,
+    /// gauges and histograms, each keyed by [`Key::display`].
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        push_map(
-            &mut out,
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.display(), v.to_string())),
-        );
-        out.push_str("},\n  \"gauges\": {");
-        push_map(
-            &mut out,
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.display(), format_f64(*v))),
-        );
-        out.push_str("},\n  \"histograms\": {");
-        push_map(
-            &mut out,
-            self.histograms.iter().map(|(k, h)| {
-                let mut body = format!(
-                    "{{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                    h.count(),
-                    h.sum()
-                );
-                for (i, c) in h.bucket_counts().iter().enumerate() {
-                    if i > 0 {
-                        body.push_str(", ");
-                    }
-                    match h.bounds().get(i) {
-                        Some(b) => {
-                            let _ = write!(body, "[{b}, {c}]");
-                        }
-                        None => {
-                            let _ = write!(body, "[null, {c}]");
-                        }
-                    }
-                }
-                body.push_str("]}");
-                (k.display(), body)
-            }),
-        );
-        out.push_str("}\n}\n");
-        out
+        let histogram = |h: &FixedHistogram| {
+            let buckets =
+                h.bucket_counts().iter().enumerate().map(|(i, &c)| {
+                    Json::from(vec![Json::from(h.bounds().get(i).copied()), c.into()])
+                });
+            json_obj! {
+                "count" => h.count(),
+                "sum" => h.sum(),
+                "buckets" => Json::Arr(buckets.collect()),
+            }
+        };
+        let doc = json_obj! {
+            "counters" => keyed(&self.counters, |&v| v.into()),
+            "gauges" => keyed(&self.gauges, |&v| Json::float(v)),
+            "histograms" => keyed(&self.histograms, histogram),
+        };
+        doc.pretty() + "\n"
     }
 }
 
-fn push_map(out: &mut String, entries: impl Iterator<Item = (String, String)>) {
-    let mut first = true;
-    for (k, v) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{}\": {v}", crate::json::escape(&k));
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-}
-
-fn format_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{:.1}", v)
-    } else {
-        format!("{v}")
-    }
+/// A JSON object of `map`'s values under their [`Key::display`] names.
+fn keyed<V>(map: &BTreeMap<Key, V>, value: impl Fn(&V) -> Json) -> Json {
+    Json::obj(map.iter().map(|(k, v)| (k.display(), value(v))))
 }
 
 fn sanitize(name: &str) -> String {

@@ -1,8 +1,109 @@
 //! Property-based tests for the telemetry crate: histogram-merge
-//! equivalence and well-formedness of the Prometheus text exposition.
+//! equivalence, well-formedness of the Prometheus text exposition, and
+//! the JSON writer's round trip through the reader.
 
 use gemini_check::prelude::*;
+use gemini_check::test_runner::TestRng;
+use gemini_telemetry::json::{self, Json, MAX_DEPTH};
 use gemini_telemetry::{FixedHistogram, Key, MetricsRegistry};
+
+/// Characters that stress the string writer: every escape JSON has, the
+/// `\\u00xx` controls, DEL, the line separator, and 2- to 4-byte UTF-8
+/// (the last two outside the BMP).
+const CHARS: &[char] = &[
+    'a',
+    'Z',
+    '0',
+    ' ',
+    '"',
+    '\\',
+    '/',
+    '\n',
+    '\r',
+    '\t',
+    '\u{8}',
+    '\u{c}',
+    '\u{0}',
+    '\u{1f}',
+    '\u{7f}',
+    '\u{2028}',
+    'é',
+    '—',
+    '😀',
+    '\u{10ffff}',
+];
+
+fn string(rng: &mut TestRng) -> String {
+    (0..rng.usize_in(0, 6))
+        .map(|_| CHARS[rng.usize_in(0, CHARS.len())])
+        .collect()
+}
+
+/// A key from a pool of four half the time, so objects often repeat one.
+fn key(rng: &mut TestRng) -> String {
+    match rng.usize_in(0, 8) {
+        0..=3 => ["id", "", "é\"", "😀"][rng.usize_in(0, 4)].to_string(),
+        _ => string(rng),
+    }
+}
+
+/// A scalar; numbers come from every typed constructor, over all `f64`
+/// bit patterns (a non-finite one is `null`).
+fn scalar(rng: &mut TestRng) -> Json {
+    let x = f64::from_bits(rng.next_u64());
+    match rng.usize_in(0, 7) {
+        0 => Json::Null,
+        1 => Json::from(rng.next_u64() % 2 == 0),
+        2 => Json::from(rng.next_u64()),
+        3 => Json::fixed(x, rng.usize_in(0, 10)),
+        4 => Json::fixed(rng.next_f64() * 1e6 - 5e5, rng.usize_in(0, 10)),
+        5 => Json::float(x),
+        _ => Json::Str(string(rng)),
+    }
+}
+
+/// A value at most `levels` containers deep: a scalar, an empty
+/// container, or a one-level container.
+fn shallow(rng: &mut TestRng, levels: usize) -> Json {
+    match (levels, rng.usize_in(0, 4)) {
+        (0, _) | (_, 0) => scalar(rng),
+        (_, 1) => Json::Arr(Vec::new()),
+        (_, 2) => Json::Obj(Vec::new()),
+        _ => nested(rng, 1),
+    }
+}
+
+/// A value nested exactly `depth` containers deep along one path, with
+/// siblings that never nest deeper.
+fn nested(rng: &mut TestRng, depth: usize) -> Json {
+    if depth == 0 {
+        return scalar(rng);
+    }
+    let mut items: Vec<Json> = (0..rng.usize_in(0, 3))
+        .map(|_| shallow(rng, depth - 1))
+        .collect();
+    let at = rng.usize_in(0, items.len() + 1);
+    items.insert(at, nested(rng, depth - 1));
+    if rng.next_u64() % 2 == 0 {
+        Json::Arr(items)
+    } else {
+        Json::Obj(items.into_iter().map(|v| (key(rng), v)).collect())
+    }
+}
+
+/// Generated JSON values, a quarter of them nested to [`MAX_DEPTH`].
+struct JsonValues;
+
+impl Strategy for JsonValues {
+    type Value = Json;
+    fn generate(&self, rng: &mut TestRng) -> Json {
+        let depth = match rng.usize_in(0, 4) {
+            0 => MAX_DEPTH,
+            _ => rng.usize_in(0, 6),
+        };
+        nested(rng, depth)
+    }
+}
 
 /// Strictly-increasing bucket bounds.
 fn bounds_strategy() -> impl Strategy<Value = Vec<u64>> {
@@ -161,5 +262,27 @@ proptest! {
         let once = m.to_json();
         prop_assert_eq!(&once, &m.to_json());
         prop_assert_eq!(&once, &m.clone().to_json());
+    }
+
+    /// The writer's two forms read back to the value that was written,
+    /// and the compact one escapes every control character (the reader
+    /// accepts them raw, so the round trip alone would not notice).
+    #[test]
+    fn json_writes_parse_back_to_the_same_value(v in JsonValues) {
+        let compact = v.compact();
+        prop_assert!(compact.bytes().all(|b| b >= 0x20), "raw control byte: {compact:?}");
+        prop_assert_eq!(json::parse(&compact).as_ref(), Ok(&v));
+        prop_assert_eq!(json::parse(&v.pretty()).as_ref(), Ok(&v));
+    }
+
+    /// A float's shortest text reads back to the same `f64`.
+    #[test]
+    fn float_text_reads_back_to_the_same_f64(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        let written = json::parse(&Json::float(x).compact()).unwrap();
+        match written.as_f64() {
+            Some(y) => prop_assert_eq!(y.to_bits(), x.to_bits()),
+            None => prop_assert!(!x.is_finite(), "{x} wrote {written:?}"),
+        }
     }
 }

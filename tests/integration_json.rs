@@ -43,7 +43,9 @@ fn incident_documents_parse_for_the_whole_catalog() {
         .unwrap();
     assert_eq!(reports.len(), plans.len());
     for report in &reports {
-        let doc = parse(&report.plan_name, &incident::incidents_json(report));
+        let value = incident::incidents_json(report);
+        let doc = parse(&report.plan_name, &value.pretty());
+        assert_eq!(doc, value);
         assert_eq!(
             doc.get("plan").and_then(Json::as_str),
             Some(report.plan_name.as_str())

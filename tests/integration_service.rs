@@ -8,7 +8,13 @@ use gemini_core::policy::PolicySpec;
 use gemini_core::Placement;
 use gemini_harness::{ChaosPlan, Deployment, DrillConfig, Scenario};
 use gemini_service::{ServiceEngine, ANSWER_MEMO_CAP, ANSWER_MEMO_ENTRY_BYTES};
+use gemini_telemetry::json::Json;
 use gemini_telemetry::TelemetrySink;
+
+/// `s` as a JSON string literal, as the service writes it.
+fn lit(s: &str) -> String {
+    Json::from(s).compact()
+}
 
 /// A canned batch covering every query kind, duplicates (dedup food) and
 /// malformed lines (error isolation).
@@ -82,8 +88,8 @@ fn drill_responses_match_the_one_shot_builder_byte_for_byte() {
     assert_eq!(
         served[0],
         format!(
-            "{{\"id\":\"d\",\"kind\":\"drill\",\"ok\":true,\"body\":\"{}\"}}",
-            gemini_telemetry::json::escape(&one_shot.render())
+            "{{\"id\":\"d\",\"kind\":\"drill\",\"ok\":true,\"body\":{}}}",
+            lit(&one_shot.render())
         )
     );
 
@@ -108,7 +114,7 @@ fn drill_responses_match_the_one_shot_builder_byte_for_byte() {
     })
     .run()
     .unwrap();
-    assert!(served[0].contains(&gemini_telemetry::json::escape(&one_shot.render())));
+    assert!(served[0].contains(&lit(&one_shot.render())));
 
     // A recovery mode on an MoE deployment; the default failure strikes
     // rank (N - 1) / 2.
@@ -126,8 +132,8 @@ fn drill_responses_match_the_one_shot_builder_byte_for_byte() {
     assert_eq!(
         served[0],
         format!(
-            "{{\"id\":\"d3\",\"kind\":\"drill\",\"ok\":true,\"body\":\"{}\"}}",
-            gemini_telemetry::json::escape(&one_shot.render())
+            "{{\"id\":\"d3\",\"kind\":\"drill\",\"ok\":true,\"body\":{}}}",
+            lit(&one_shot.render())
         )
     );
 }
@@ -157,8 +163,8 @@ fn chaos_and_lookahead_match_one_shot_runs() {
     assert_eq!(
         served[0],
         format!(
-            "{{\"id\":\"c\",\"kind\":\"chaos\",\"ok\":true,\"body\":\"{}\"}}",
-            gemini_telemetry::json::escape(&one_shot.render())
+            "{{\"id\":\"c\",\"kind\":\"chaos\",\"ok\":true,\"body\":{}}}",
+            lit(&one_shot.render())
         )
     );
 
@@ -268,13 +274,13 @@ fn recoverability_grid_is_identical_cold_and_warm() {
                             body.push_str(&format!("k={k} p={pk}\n"));
                         }
                         format!(
-                            r#"{{"id":"{id}","kind":"recoverability","ok":true,"body":"{}"}}"#,
-                            gemini_telemetry::json::escape(&body)
+                            r#"{{"id":"{id}","kind":"recoverability","ok":true,"body":{}}}"#,
+                            lit(&body)
                         )
                     }
                     Err(e) => format!(
-                        r#"{{"id":"{id}","kind":"recoverability","ok":false,"error":"{}"}}"#,
-                        gemini_telemetry::json::escape(&e.to_string())
+                        r#"{{"id":"{id}","kind":"recoverability","ok":false,"error":{}}}"#,
+                        lit(&e.to_string())
                     ),
                 });
             }
@@ -371,10 +377,10 @@ fn serial_repeats_execute_once_per_distinct_question() {
         assert_eq!(
             resp,
             &format!(
-                r#"{{"id":"r{}q{}","kind":"{kind}","ok":true,"body":"{}"}}"#,
+                r#"{{"id":"r{}q{}","kind":"{kind}","ok":true,"body":{}}}"#,
                 i / 3,
                 i % 3,
-                gemini_telemetry::json::escape(body)
+                lit(body)
             )
         );
     }
