@@ -11,6 +11,7 @@ OUT="$ROOT/target/smokes"
 mkdir -p "$OUT"
 SMOKE_BATCH="$ROOT/crates/bench/baselines/serve_smoke.ndjson"
 SMOKE_EXPECTED="$ROOT/crates/bench/baselines/serve_smoke.expected.ndjson"
+BASELINES="$ROOT/crates/bench/baselines"
 BENCH="$OUT/bench_harness_ci.json"
 
 STEP=""
@@ -44,12 +45,14 @@ smoke "DES differential property (wheel vs heap)"
 cargo test -q --release --offline -p gemini-sim --test queue_differential
 
 # The full fault-plan catalog runs green (the bin exits non-zero on any
-# invariant violation) and byte-identically across --jobs counts.
-# See docs/CHAOS.md.
+# invariant violation), byte-identically across --jobs counts and to the
+# committed reference output. See docs/CHAOS.md.
 smoke "chaos catalog (--jobs 2 vs --jobs 1)"
 bin chaos -- --jobs 2 > "$OUT/chaos_a.txt"
 bin chaos -- --jobs 1 > "$OUT/chaos_b.txt"
 cmp "$OUT/chaos_a.txt" "$OUT/chaos_b.txt" || fail "chaos differs across --jobs"
+cmp "$OUT/chaos_b.txt" "$BASELINES/chaos_catalog.expected.txt" \
+  || fail "chaos differs from the committed reference output"
 
 # Perf report: the bin asserts backend fingerprints equal, the parallel
 # render byte-identical and the fleet DES past a simulated month. Wall
@@ -82,9 +85,13 @@ EOF
 # green, adaptive never has a less fresh recoverable checkpoint than the
 # paper's fixed configuration, adaptive wastes no more than the best fixed
 # comparator, and the campaign renders byte-identically across --jobs.
-# The JSON re-check keeps the spliced report honest. See docs/POLICY.md.
+# The JSON re-check keeps the spliced report honest, and the --jobs 1
+# stdout is pinned to the committed reference output. See docs/POLICY.md.
 smoke "policy matrix (--quick)"
 bin policy -- --quick --jobs 2 --out "$BENCH" > "$OUT/policy.log"
+bin policy -- --quick --jobs 1 > "$OUT/policy_j1.txt"
+cmp "$OUT/policy_j1.txt" "$BASELINES/policy_quick_stdout.expected.txt" \
+  || fail "policy --quick differs from the committed reference output"
 python3 - "$BENCH" <<'EOF'
 import json, sys
 p = json.load(open(sys.argv[1]))['policy']
@@ -95,11 +102,14 @@ EOF
 
 # Every catalogued chaos plan stitches into >= 1 incident whose wasted-
 # time attribution matches the ledger to the nanosecond (the bin exits 2
-# otherwise), byte-identically across --jobs. See docs/OBSERVABILITY.md.
+# otherwise), byte-identically across --jobs and to the committed
+# reference output. See docs/OBSERVABILITY.md.
 smoke "incident flight recorder (--jobs 2 vs --jobs 1)"
 bin incidents -- --jobs 2 > "$OUT/inc_a.txt"
 bin incidents -- --jobs 1 > "$OUT/inc_b.txt"
 cmp "$OUT/inc_a.txt" "$OUT/inc_b.txt" || fail "incidents differ across --jobs"
+cmp "$OUT/inc_b.txt" "$BASELINES/incidents_catalog.expected.txt" \
+  || fail "incidents differ from the committed reference output"
 grep -q "attribution: exact" "$OUT/inc_a.txt" || fail "no exact attribution"
 
 # Scenario-as-a-service: the canned batch serves byte-identically at

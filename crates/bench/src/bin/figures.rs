@@ -16,7 +16,9 @@
 
 use gemini_bench::BenchCli;
 use gemini_harness::experiments::render_all_with;
+use gemini_harness::report::Table;
 use gemini_harness::{DrillConfig, Scenario};
+use gemini_telemetry::json::Json;
 
 fn main() {
     let mut cli = BenchCli::from_env();
@@ -40,8 +42,10 @@ fn main() {
 
     let tables = render_all_with(fast, &sink);
     if json {
-        let rendered: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
-        println!("[{}]", rendered.join(","));
+        println!(
+            "{}",
+            Json::Arr(tables.iter().map(Table::json).collect()).pretty()
+        );
     } else {
         for table in &tables {
             if csv {

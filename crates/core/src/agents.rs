@@ -17,7 +17,7 @@
 //! pass over its bytes.
 
 use crate::config::GeminiConfig;
-use gemini_kvstore::{Campaign, Election, KvError, KvStore, LeaseId};
+use gemini_kvstore::{Campaign, Election, KvError, KvStore, LeaseId, Seen};
 use gemini_sim::SimTime;
 
 /// Key prefix for worker health statuses.
@@ -250,9 +250,23 @@ impl RootAgent {
     /// Campaigns for (or renews) root leadership. Returns whether this
     /// agent currently leads.
     pub fn campaign(&mut self, kv: &mut KvStore, now: SimTime) -> Result<bool, KvError> {
+        let seen = self.election.seen_by(kv, now, &self.identity);
+        self.campaign_seen(kv, now, seen)
+    }
+
+    /// [`RootAgent::campaign`] against a read of the election key already
+    /// taken at `now`. A follower that holds no lease handle has nothing
+    /// to renew, claim or revoke, so its campaign touches neither the
+    /// store nor the agent.
+    fn campaign_seen(
+        &mut self,
+        kv: &mut KvStore,
+        now: SimTime,
+        seen: Seen,
+    ) -> Result<bool, KvError> {
         match self
             .election
-            .campaign(kv, now, &self.identity, self.lease)?
+            .campaign_seen(kv, now, &self.identity, self.lease, seen)?
         {
             Campaign::Leader(lease) => {
                 self.lease = Some(lease);
@@ -274,6 +288,43 @@ impl RootAgent {
                 Ok(false)
             }
         }
+    }
+
+    /// One coordination round: reads the election key once, then every
+    /// candidate for which `eligible(rank)` holds campaigns against that
+    /// read, in rank order, as if each had read the key itself. A claim
+    /// updates the read, so later candidates find the key held. Returns
+    /// the rank holding the key after the round: `None` when it is vacant
+    /// or held by an identity outside `roots`.
+    ///
+    /// Only the holder (renewing), followers with a lease handle (which
+    /// revoke it) and candidates facing a vacant key do any work; as in
+    /// etcd, the other followers wait on the election instead of reading
+    /// the key again.
+    pub fn elect(
+        roots: &mut [RootAgent],
+        kv: &mut KvStore,
+        now: SimTime,
+        eligible: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let mut held = roots.first()?.election.holder(kv, now).map(|v| {
+            let rank = roots.iter().position(|r| r.identity == v.value);
+            (rank, v.lease)
+        });
+        for (rank, root) in roots.iter_mut().enumerate() {
+            if !eligible(rank) {
+                continue;
+            }
+            let seen = match held {
+                None => Seen::Vacant,
+                Some((Some(holder), lease)) if holder == rank => Seen::Mine(lease),
+                Some(_) => Seen::Theirs,
+            };
+            if let Ok(true) = root.campaign_seen(kv, now, seen) {
+                held = Some((Some(rank), root.lease));
+            }
+        }
+        held.and_then(|(rank, _)| rank)
     }
 
     /// Whether this agent is the current leader.
@@ -710,6 +761,84 @@ mod tests {
             snap.counter(gemini_telemetry::Key::plain("kv.scan_out_of_range")),
             1
         );
+    }
+
+    #[test]
+    fn one_election_read_per_round_and_followers_with_a_lease_still_revoke() {
+        // m1 leads, then a KV blip drops the election key while m1's lease
+        // survives, and m0 claims the key. In the next round m1 is a
+        // follower that still holds a live lease handle: skipping its
+        // campaign would strand that lease until its TTL.
+        let sink = gemini_telemetry::TelemetrySink::enabled();
+        let counter = |name| {
+            sink.metrics_snapshot()
+                .counter(gemini_telemetry::Key::plain(name))
+        };
+        let mut kv = KvStore::new().with_telemetry(sink.clone());
+        let mut roots = [RootAgent::new("m0", &cfg()), RootAgent::new("m1", &cfg())];
+        assert!(roots[1].campaign(&mut kv, t(0)).unwrap());
+        kv.delete(t(1), ROOT_ELECTION_KEY).unwrap();
+        assert!(roots[0].campaign(&mut kv, t(1)).unwrap());
+        assert_eq!(kv.live_leases(t(1)), 2);
+        let reads = counter("kv.election_reads");
+        assert_eq!(
+            RootAgent::elect(&mut roots, &mut kv, t(2), |_| true),
+            Some(0)
+        );
+        assert_eq!(counter("kv.election_reads"), reads + 1);
+        assert_eq!(counter("kv.election_lease_revoked"), 1);
+        assert_eq!(kv.live_leases(t(2)), 1, "the follower's lease is revoked");
+        // The next round has no handle left to revoke, and the holder
+        // renews off the same single read.
+        assert_eq!(
+            RootAgent::elect(&mut roots, &mut kv, t(20), |_| true),
+            Some(0)
+        );
+        assert_eq!(counter("kv.election_reads"), reads + 2);
+        assert_eq!(counter("kv.election_lease_revoked"), 1);
+        assert_eq!(roots[0].leader(&mut kv, t(20)), Some("m0"));
+    }
+
+    #[test]
+    fn elect_matches_one_campaign_per_candidate() {
+        // The shared read must decide every campaign as a fresh read would:
+        // the same holder, the same leases and the same counters, round
+        // after round, with candidates muted, revived and blipped out.
+        let run = |shared: bool| {
+            let sink = gemini_telemetry::TelemetrySink::enabled();
+            let mut kv = KvStore::new().with_telemetry(sink.clone());
+            let mut roots: Vec<RootAgent> = (0..4)
+                .map(|r| RootAgent::new(&format!("m{r}"), &cfg()))
+                .collect();
+            let mut trace = Vec::new();
+            for s in 0..120u64 {
+                let eligible = |rank: usize| (s / 10 + rank as u64) % 4 != 0;
+                if shared {
+                    RootAgent::elect(&mut roots, &mut kv, t(s), eligible);
+                } else {
+                    for (rank, root) in roots.iter_mut().enumerate() {
+                        if eligible(rank) {
+                            let _ = root.campaign(&mut kv, t(s));
+                        }
+                    }
+                }
+                if s % 7 == 3 {
+                    let _ = kv.delete(t(s), ROOT_ELECTION_KEY);
+                }
+                let leader = roots[0].leader(&mut kv, t(s)).map(str::to_string);
+                trace.push((leader, kv.live_leases(t(s))));
+            }
+            let snap = sink.metrics_snapshot();
+            let counters = [
+                "kv.election_rounds",
+                "kv.election_lease_revoked",
+                "kv.leases_granted",
+                "kv.leases_expired",
+            ]
+            .map(|name| snap.counter(gemini_telemetry::Key::plain(name)));
+            (trace, counters)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -1682,21 +1682,19 @@ impl ChaosModel {
         // 10k-rank cluster does not need — and production seed-node sets
         // do not run — ten thousand campaigns per coordination second.
         let candidates = self.roots.len().min(ROOT_CANDIDATES);
-        for rank in 0..candidates {
-            if self.down[rank].is_some() || now < self.muted_until[rank] {
-                continue;
-            }
-            let _ = self.roots[rank].campaign(&mut self.kv, now);
-        }
-        // Invariant 1: leader census through the election key. The key is
-        // read once per tick, through the first live candidate, and its
-        // borrowed value compared against every live candidate's identity;
-        // a KV read expires due leases, so with no live candidate the
-        // store is not touched at all.
         let live = |rank: &usize| self.down[*rank].is_none();
-        let elected = (0..candidates)
-            .find(live)
-            .and_then(|rank| self.roots[rank].leader(&mut self.kv, now));
+        if !(0..candidates).any(|rank| live(&rank)) {
+            // No live candidate: no campaign and no census, and the store
+            // is not touched at all (a KV read expires due leases).
+            return;
+        }
+        // One read of the election key serves every campaign and the
+        // census (invariant 1): the live candidates whose identity is the
+        // key's holder after the round.
+        let holder = RootAgent::elect(&mut self.roots[..candidates], &mut self.kv, now, |rank| {
+            self.down[rank].is_none() && now >= self.muted_until[rank]
+        });
+        let elected = holder.map(|rank| self.roots[rank].identity());
         let leaders: Vec<usize> = (0..candidates)
             .filter(|rank| live(rank) && elected == Some(self.roots[*rank].identity()))
             .collect();

@@ -1,6 +1,6 @@
 //! Minimal markdown/CSV/JSON table rendering for experiment output.
 
-use gemini_telemetry::json_obj;
+use gemini_telemetry::{json::Json, json_obj};
 
 /// A rectangular table with a title, headers and string cells.
 #[derive(Clone, Debug, Default)]
@@ -41,15 +41,13 @@ impl Table {
         out
     }
 
-    /// Renders pretty JSON (`title`, `headers`, `rows`), in
-    /// [`gemini_telemetry::json::Json::pretty`]'s layout.
-    pub fn to_json(&self) -> String {
-        let table = json_obj! {
+    /// The table as a JSON value (`title`, `headers`, `rows`).
+    pub fn json(&self) -> Json {
+        json_obj! {
             "title" => self.title.as_str(),
             "headers" => self.headers.clone(),
             "rows" => self.rows.clone(),
-        };
-        table.pretty()
+        }
     }
 
     /// Renders RFC 4180 CSV: fields containing a comma, a double quote,
@@ -141,7 +139,7 @@ mod tests {
     fn json_shape() {
         let mut t = Table::new("Demo", &["a"]);
         t.push(vec!["1".into()]);
-        let v = gemini_telemetry::json::parse(&t.to_json()).unwrap();
+        let v = gemini_telemetry::json::parse(&t.json().pretty()).unwrap();
         assert_eq!(v.get("title").and_then(|t| t.as_str()), Some("Demo"));
         let headers = v.get("headers").and_then(|h| h.as_array()).unwrap();
         assert_eq!(headers[0].as_str(), Some("a"));
@@ -154,25 +152,25 @@ mod tests {
     #[test]
     fn json_golden_bytes() {
         assert_eq!(
-            Table::new("Empty", &[]).to_json(),
+            Table::new("Empty", &[]).json().pretty(),
             "{\n  \"title\": \"Empty\",\n  \"headers\": [],\n  \"rows\": []\n}"
         );
         let mut t = Table::new("Padded", &["a", "b"]);
         t.push(vec!["1".into()]);
         assert_eq!(
-            t.to_json(),
+            t.json().pretty(),
             "{\n  \"title\": \"Padded\",\n  \"headers\": [\n    \"a\",\n    \"b\"\n  ],\n  \
              \"rows\": [\n    [\n      \"1\",\n      \"\"\n    ]\n  ]\n}"
         );
         let mut t = Table::new("No rows", &["x"]);
         assert_eq!(
-            t.to_json(),
+            t.json().pretty(),
             "{\n  \"title\": \"No rows\",\n  \"headers\": [\n    \"x\"\n  ],\n  \"rows\": []\n}"
         );
         t.title = "Quote \" slash \\".into();
         t.push(vec!["a\"b\\c\nd\te\u{1}f — g".into()]);
         assert_eq!(
-            t.to_json(),
+            t.json().pretty(),
             "{\n  \"title\": \"Quote \\\" slash \\\\\",\n  \"headers\": [\n    \"x\"\n  ],\n  \
              \"rows\": [\n    [\n      \"a\\\"b\\\\c\\nd\\te\\u0001f — g\"\n    ]\n  ]\n}"
         );

@@ -11,7 +11,7 @@
 //! considers itself leader.
 
 use crate::lease::LeaseId;
-use crate::store::{KvError, KvStore};
+use crate::store::{KvError, KvStore, VersionedValue};
 use gemini_sim::{SimDuration, SimTime};
 
 /// A leader election over one key.
@@ -28,6 +28,17 @@ pub enum Campaign {
     Leader(LeaseId),
     /// Another candidate currently leads ([`Election::leader`] names it).
     Follower,
+}
+
+/// One read of the election key, from one candidate's seat.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Seen {
+    /// Nobody holds the key.
+    Vacant,
+    /// The candidate itself holds the key, under this lease.
+    Mine(Option<LeaseId>),
+    /// Another identity holds the key.
+    Theirs,
 }
 
 impl Election {
@@ -49,18 +60,39 @@ impl Election {
         candidate: &str,
         existing_lease: Option<LeaseId>,
     ) -> Result<Campaign, KvError> {
-        // Renew if we already lead; follow if anyone else does. The read
-        // borrows the election value: a follower copies nothing.
-        match kv
-            .get(now, &self.key)
-            .map(|current| (current.value == candidate, current.lease))
-        {
-            Some((true, Some(lease))) => {
+        let seen = self.seen_by(kv, now, candidate);
+        self.campaign_seen(kv, now, candidate, existing_lease, seen)
+    }
+
+    /// Reads the key once and says what `candidate` sees.
+    pub fn seen_by(&self, kv: &mut KvStore, now: SimTime, candidate: &str) -> Seen {
+        match self.holder(kv, now) {
+            None => Seen::Vacant,
+            Some(v) if v.value == candidate => Seen::Mine(v.lease),
+            Some(_) => Seen::Theirs,
+        }
+    }
+
+    /// [`Election::campaign`] against a read of the key already taken at
+    /// `now`, so several candidates can share one read. The caller keeps
+    /// `seen` current: once a candidate claims the key, later candidates
+    /// see it as [`Seen::Theirs`]. A follower touches nothing.
+    pub fn campaign_seen(
+        &self,
+        kv: &mut KvStore,
+        now: SimTime,
+        candidate: &str,
+        existing_lease: Option<LeaseId>,
+        seen: Seen,
+    ) -> Result<Campaign, KvError> {
+        // Renew if we already lead; follow if anyone else does.
+        match seen {
+            Seen::Mine(Some(lease)) => {
                 kv.keep_alive(now, lease)?;
                 return Ok(Campaign::Leader(lease));
             }
-            Some(_) => return Ok(Campaign::Follower),
-            None => {}
+            Seen::Mine(None) | Seen::Theirs => return Ok(Campaign::Follower),
+            Seen::Vacant => {}
         }
         // Key absent: race to create it under our lease. Track whether the
         // lease was freshly granted for this round: if the CAS loses the
@@ -96,9 +128,17 @@ impl Election {
         }
     }
 
+    /// The election key's value (the holder's identity and lease), if
+    /// held, borrowed from the store. Every read of the key goes through
+    /// here and counts one `kv.election_reads`.
+    pub fn holder<'kv>(&self, kv: &'kv mut KvStore, now: SimTime) -> Option<&'kv VersionedValue> {
+        kv.telemetry().counter_add("kv.election_reads", 1);
+        kv.get(now, &self.key)
+    }
+
     /// The current leader's identity, if any, borrowed from the store.
     pub fn leader<'kv>(&self, kv: &'kv mut KvStore, now: SimTime) -> Option<&'kv str> {
-        kv.get(now, &self.key).map(|v| v.value.as_str())
+        self.holder(kv, now).map(|v| v.value.as_str())
     }
 
     /// Voluntarily steps down (revokes the leadership lease).

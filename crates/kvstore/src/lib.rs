@@ -24,7 +24,7 @@ pub mod lease;
 pub mod retry;
 pub mod store;
 
-pub use election::{Campaign, Election};
+pub use election::{Campaign, Election, Seen};
 pub use lease::{Lease, LeaseId};
 pub use retry::RetryPolicy;
 pub use store::{KvError, KvStore, VersionedValue};

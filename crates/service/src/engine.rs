@@ -142,14 +142,19 @@ impl ServiceEngine {
     /// answer. Always returns a single-line JSON response; never panics on
     /// malformed input.
     pub fn serve_line(&self, line: &str) -> String {
-        let query = match Query::parse(line) {
+        let parsed = json::parse(line);
+        let query = match parsed
+            .as_ref()
+            .map_err(String::clone)
+            .and_then(Query::from_json)
+        {
             Ok(q) => q,
             Err(e) => {
                 self.sink.counter_add("service.parse_errors", 1);
                 // Best-effort id and kind recovery so tenants can
                 // correlate the error even when validation (not syntax)
                 // failed.
-                let v = json::parse(line).ok();
+                let v = parsed.ok();
                 let id = v
                     .as_ref()
                     .and_then(|v| query_id(v).ok())

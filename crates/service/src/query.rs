@@ -110,21 +110,25 @@ pub struct LookaheadQuery {
 impl Query {
     /// Parses and validates one request line.
     pub fn parse(line: &str) -> Result<Query, String> {
-        let v = json::parse(line)?;
+        Query::from_json(&json::parse(line)?)
+    }
+
+    /// Validates one parsed request.
+    pub fn from_json(v: &Json) -> Result<Query, String> {
         if !matches!(v, Json::Obj(_)) {
             return Err("query must be a JSON object".to_string());
         }
-        let id = query_id(&v)?;
+        let id = query_id(v)?;
         let kind = match v.get("kind").map(|k| k.as_str()) {
             None => "drill",
             Some(Some(k)) => k,
             Some(None) => return Err("\"kind\" must be a string".to_string()),
         };
         let kind = match kind {
-            "drill" => QueryKind::Drill(drill_from_json(&v)?),
-            "recoverability" => QueryKind::Recoverability(RecoverabilityQuery::from_json(&v)?),
-            "chaos" => QueryKind::Chaos(ChaosQuery::from_json(&v)?),
-            "lookahead" => QueryKind::Lookahead(LookaheadQuery::from_json(&v)?),
+            "drill" => QueryKind::Drill(drill_from_json(v)?),
+            "recoverability" => QueryKind::Recoverability(RecoverabilityQuery::from_json(v)?),
+            "chaos" => QueryKind::Chaos(ChaosQuery::from_json(v)?),
+            "lookahead" => QueryKind::Lookahead(LookaheadQuery::from_json(v)?),
             other => return Err(format!("unknown query kind {other:?}")),
         };
         Ok(Query { id, kind })

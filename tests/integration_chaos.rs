@@ -281,8 +281,14 @@ fn control_plane_traffic_is_pinned() {
     // a rework of heartbeat delivery must keep them too.
     use gemini_telemetry::Key;
     let cases = [
-        (ChaosPlan::kill_mid_checkpoint(), [7551, 2401, 1, 18, 1, 0]),
-        (ChaosPlan::kv_outage_blackout(), [7481, 2371, 2, 35, 18, 0]),
+        (
+            ChaosPlan::kill_mid_checkpoint(),
+            [7551, 2401, 1, 18, 1, 0, 2401],
+        ),
+        (
+            ChaosPlan::kv_outage_blackout(),
+            [7481, 2371, 2, 35, 18, 0, 2371],
+        ),
     ];
     let names = [
         "kv.heartbeats",
@@ -291,6 +297,9 @@ fn control_plane_traffic_is_pinned() {
         "kv.leases_granted",
         "kv.leases_expired",
         "kv.election_lease_revoked",
+        // One read of the election key per coordination tick with a
+        // reachable store, shared by every campaign and the census.
+        "kv.election_reads",
     ];
     for (plan, want) in cases {
         let sink = TelemetrySink::enabled();

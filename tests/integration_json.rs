@@ -58,7 +58,7 @@ fn incident_documents_parse_for_the_whole_catalog() {
 #[test]
 fn figure_tables_parse_back_to_their_cells() {
     for table in render_all_with(true, &TelemetrySink::disabled()) {
-        let doc = parse(&table.title, &table.to_json());
+        let doc = parse(&table.title, &table.json().pretty());
         assert_eq!(doc.get("title").and_then(Json::as_str), Some(&*table.title));
         let strings = |v: &Json| -> Vec<String> {
             v.as_array()

@@ -38,8 +38,8 @@ fn rendered_artifacts_are_byte_identical_across_job_counts() {
                 s.title
             );
             assert_eq!(
-                s.to_json(),
-                p.to_json(),
+                s.json().pretty(),
+                p.json().pretty(),
                 "json diverged for {} at jobs={jobs}",
                 s.title
             );
