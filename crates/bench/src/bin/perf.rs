@@ -42,25 +42,29 @@
 //!    min/max, reported only. The `"scale"` report section.
 //! 7. **Control plane** — the real worker and root agents on a KV store
 //!    in steady state at N = 16 and N = 10 000: every worker heartbeats
-//!    each period, then the root scans the health prefix. Nanoseconds per
-//!    heartbeat and per scan are reported only; the KV op counters of an
+//!    each period, then the root scans the health prefix into one reused
+//!    report, as the chaos executor's coordination tick does; separately,
+//!    the root candidates (at most [`ROOT_CANDIDATES`]) run election
+//!    rounds against a held key. Nanoseconds per heartbeat, per scan and
+//!    per election round are reported only; the KV op counters of an
 //!    identical counting pass (heartbeats, scans, leases granted and
 //!    expired) are gated. The `"control_plane"` report section.
 
 use gemini_bench::{
     run_des, run_des_with_work, BenchCli, DesWorkload, FLEET_MACHINES, FLEET_MONTH_NS,
 };
-use gemini_core::agents::{RootAgent, WorkerAgent};
+use gemini_core::agents::{RootAgent, ScanReport, WorkerAgent};
 use gemini_core::placement::analytic::{analytic_recovery_probability, recovery_curve};
 use gemini_core::placement::probability::{
     binomial, exact_recovery_probability, monte_carlo_recovery_probability_jobs,
     monte_carlo_recovery_probability_reference, FatalSets,
 };
 use gemini_core::{GeminiConfig, Placement, PlacementSpecKey, RecoveryMemo};
+use gemini_harness::chaos::ROOT_CANDIDATES;
 use gemini_harness::experiments::{render_all_jobs, render_all_stats};
 use gemini_harness::par;
 use gemini_kvstore::KvStore;
-use gemini_sim::{DetRng, SimTime};
+use gemini_sim::{DetRng, SimDuration, SimTime};
 use gemini_telemetry::{json::Json, json_obj, Key, TelemetrySink};
 use std::collections::BTreeSet;
 use std::hint::black_box;
@@ -73,10 +77,10 @@ fn secs(f: impl FnOnce()) -> f64 {
 }
 
 /// Drives `n` registered workers through `rounds` heartbeat periods, then
-/// the root through `scans` health scans at the last beat's instant, on a
-/// store reporting through `sink`. Every lease stays live, so each scan
-/// must see all `n` ranks. Returns the seconds spent heartbeating and
-/// scanning.
+/// the root through `scans` health scans into one reused report at the
+/// last beat's instant, on a store reporting through `sink`. Every lease
+/// stays live, so each scan must see all `n` ranks. Returns the seconds
+/// spent heartbeating and scanning.
 fn control_plane(n: usize, rounds: u64, scans: u64, sink: TelemetrySink) -> (f64, f64) {
     let cfg = GeminiConfig::default();
     let mut kv = KvStore::new().with_telemetry(sink);
@@ -95,14 +99,45 @@ fn control_plane(n: usize, rounds: u64, scans: u64, sink: TelemetrySink) -> (f64
         }
     });
     let root = RootAgent::new("root", &cfg);
-    let mut alive = 0;
+    let mut report = ScanReport::default();
     let scan_s = secs(|| {
         for _ in 0..scans {
-            alive = black_box(root.scan(&mut kv, now, n)).alive.len();
+            root.scan(&mut kv, now, n, black_box(&mut report));
         }
     });
-    assert_eq!(alive, n, "a steady-state scan missed a live worker");
+    assert_eq!(
+        report.alive.len(),
+        n,
+        "a steady-state scan missed a live worker"
+    );
     (beat_s, scan_s)
+}
+
+/// Times `rounds` steady-state election rounds of `candidates` root
+/// candidates on a disabled sink, one simulated second apart: the first
+/// candidate holds the key and renews it, the others wait. Returns the
+/// seconds spent electing.
+fn election(candidates: usize, rounds: u64) -> f64 {
+    let cfg = GeminiConfig::default();
+    let mut kv = KvStore::new();
+    let mut roots: Vec<RootAgent> = (0..candidates)
+        .map(|r| RootAgent::new(&format!("machine-{r}"), &cfg))
+        .collect();
+    let mut now = SimTime::ZERO;
+    // The first round claims the key; the timed ones renew it.
+    assert_eq!(
+        RootAgent::elect(&mut roots, &mut kv, now, |_| true),
+        Some(0)
+    );
+    let mut holder = None;
+    let elect_s = secs(|| {
+        for _ in 0..rounds {
+            now += SimDuration::from_secs(1);
+            holder = black_box(RootAgent::elect(&mut roots, &mut kv, now, |_| true));
+        }
+    });
+    assert_eq!(holder, Some(0), "the steady-state holder lost the key");
+    elect_s
 }
 
 fn main() {
@@ -373,6 +408,10 @@ fn main() {
         .map(|&(n, rounds, scans)| {
             let (rounds, scans) = (rounds * cp_scale, scans * cp_scale);
             let (beat_s, scan_s) = control_plane(n, rounds, scans, TelemetrySink::disabled());
+            // Election rounds cost the same at both scales (the candidates
+            // are capped), so both get as many as the small scale's scans.
+            let elect_rounds = 50_000 * cp_scale;
+            let elect_s = election(n.min(ROOT_CANDIDATES), elect_rounds);
             let counted = TelemetrySink::enabled();
             control_plane(n, rounds, scans, counted.clone());
             let snap = counted.metrics_snapshot();
@@ -381,9 +420,10 @@ fn main() {
             assert_eq!(beats, n as u64 * rounds, "every steady beat is a heartbeat");
             let heartbeat_ns = beat_s * 1e9 / beats.max(1) as f64;
             let scan_ns = scan_s * 1e9 / scans.max(1) as f64;
+            let elect_ns = elect_s * 1e9 / elect_rounds as f64;
             eprintln!(
-                "control plane N={n}: {heartbeat_ns:.0} ns/heartbeat, {scan_ns:.0} ns/scan \
-                 ({beats} heartbeats, {scans} scans)"
+                "control plane N={n}: {heartbeat_ns:.0} ns/heartbeat, {scan_ns:.0} ns/scan, \
+                 {elect_ns:.0} ns/election round ({beats} heartbeats, {scans} scans)"
             );
             let section = json_obj! {
                 "workers" => n, "heartbeats" => beats, "health_scans" => count("kv.health_scans"),
@@ -391,6 +431,7 @@ fn main() {
                 "leases_expired" => count("kv.leases_expired"),
                 "heartbeat_ns" => Json::fixed(heartbeat_ns, 1),
                 "scan_ns" => Json::fixed(scan_ns, 1),
+                "elect_ns" => Json::fixed(elect_ns, 1),
             };
             (format!("n{n}"), section)
         })

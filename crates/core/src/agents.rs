@@ -14,7 +14,7 @@
 //! agents keep it byte for byte but skip `fmt` and `str::split` on the
 //! steady-state path: a worker builds its key once, re-encodes its value
 //! into a buffer it owns, and the root's scan decodes each value in one
-//! pass over its bytes.
+//! pass over its bytes into a [`ScanReport`] the caller reuses.
 
 use crate::config::GeminiConfig;
 use gemini_kvstore::{Campaign, Election, KvError, KvStore, LeaseId, Seen};
@@ -211,8 +211,10 @@ impl WorkerAgent {
     }
 }
 
-/// What the root agent's scan reports.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What the root agent's scan reports. The caller owns one report and
+/// hands it to every [`RootAgent::scan`], which clears and refills it
+/// while keeping its buffers, so a steady-state scan allocates nothing.
+#[derive(Clone, Debug, Default, Eq)]
 pub struct ScanReport {
     /// Ranks in `0..n` whose health key is present.
     pub alive: Vec<usize>,
@@ -222,6 +224,16 @@ pub struct ScanReport {
     /// since-shrunk deployment or a foreign writer. Never treated as
     /// alive; surfaced so operators can spot the pollution.
     pub out_of_range: Vec<usize>,
+    /// The scan's presence bitmap over `0..n`: scratch, not part of the
+    /// report's value.
+    present: Vec<bool>,
+}
+
+impl PartialEq for ScanReport {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.alive, &self.missing, &self.out_of_range)
+            == (&other.alive, &other.missing, &other.out_of_range)
+    }
 }
 
 /// The root agent.
@@ -327,27 +339,30 @@ impl RootAgent {
         held.and_then(|(rank, _)| rank)
     }
 
-    /// Whether this agent is the current leader.
-    pub fn is_leader(&self, kv: &mut KvStore, now: SimTime) -> bool {
-        self.leader(kv, now) == Some(self.identity.as_str())
-    }
-
     /// The current leader's identity, if any (one election-key read,
     /// borrowed from the store).
     pub fn leader<'kv>(&self, kv: &'kv mut KvStore, now: SimTime) -> Option<&'kv str> {
         self.election.leader(kv, now)
     }
 
-    /// Scans worker health for ranks `0..n`, reporting who is missing.
-    /// "The root agent periodically checks the health statuses in the
-    /// distributed key-value store" (§3.2).
-    pub fn scan(&self, kv: &mut KvStore, now: SimTime, n: usize) -> ScanReport {
-        let mut out_of_range = Vec::new();
-        let mut present = vec![false; n];
-        // The non-cloning visitor keeps the once-a-second scan allocation-
-        // free per key; a flat presence bitmap replaces the BTreeSet so the
-        // sweep stays O(n) at fleet scale, and yields both rank lists in
-        // order without a sort.
+    /// Scans worker health for ranks `0..n` into `report`, reporting who
+    /// is missing. "The root agent periodically checks the health statuses
+    /// in the distributed key-value store" (§3.2).
+    pub fn scan(&self, kv: &mut KvStore, now: SimTime, n: usize, report: &mut ScanReport) {
+        let ScanReport {
+            alive,
+            missing,
+            out_of_range,
+            present,
+        } = report;
+        alive.clear();
+        missing.clear();
+        out_of_range.clear();
+        present.clear();
+        present.resize(n, false);
+        // The non-cloning visitor keeps the scan allocation-free per key;
+        // a flat presence bitmap keeps the sweep O(n) at fleet scale and
+        // yields both rank lists in order without a sort.
         kv.for_each_in_range(now, HEALTH_PREFIX, |_, v| {
             if let Some(h) = HealthStatus::decode(&v.value) {
                 // Only ranks in the expected set count as alive; a stale
@@ -359,7 +374,13 @@ impl RootAgent {
                 }
             }
         });
-        let (alive, missing): (Vec<usize>, Vec<usize>) = (0..n).partition(|&r| present[r]);
+        for (rank, &here) in present.iter().enumerate() {
+            if here {
+                alive.push(rank);
+            } else {
+                missing.push(rank);
+            }
+        }
         out_of_range.sort_unstable();
         out_of_range.dedup();
         kv.telemetry().counter_add("kv.health_scans", 1);
@@ -370,11 +391,6 @@ impl RootAgent {
         let alive_count = alive.len();
         kv.telemetry()
             .gauge_set("kv.alive_workers", || alive_count as f64);
-        ScanReport {
-            alive,
-            missing,
-            out_of_range,
-        }
     }
 
     /// Steps down voluntarily.
@@ -408,7 +424,8 @@ mod tests {
             w.register(&mut kv, t(0)).unwrap();
         }
         let root = RootAgent::new("machine-0", &cfg());
-        let report = root.scan(&mut kv, t(1), 4);
+        let mut report = ScanReport::default();
+        root.scan(&mut kv, t(1), 4, &mut report);
         assert_eq!(report.alive, vec![0, 1, 2, 3]);
         assert!(report.missing.is_empty());
     }
@@ -428,6 +445,7 @@ mod tests {
         // Everyone heartbeats except rank 2, which dies at t = 20. The root
         // scans every second; record when it first sees rank 2 missing.
         let mut first_missing = None;
+        let mut report = ScanReport::default();
         for s in 1..60 {
             if s % 5 == 0 {
                 for w in workers.iter_mut() {
@@ -437,7 +455,7 @@ mod tests {
                     w.heartbeat(&mut kv, t(s)).unwrap();
                 }
             }
-            let report = root.scan(&mut kv, t(s), 4);
+            root.scan(&mut kv, t(s), 4, &mut report);
             if !report.missing.is_empty() && first_missing.is_none() {
                 assert_eq!(report.missing, vec![2]);
                 assert_eq!(report.alive, vec![0, 1, 3]);
@@ -460,8 +478,10 @@ mod tests {
         let root = RootAgent::new("r", &cfg());
         // Key lapses 15 s after the last refresh (t=5): at t=20.
         let mut detected_at = None;
+        let mut report = ScanReport::default();
         for s in die_at..60 {
-            if !root.scan(&mut kv, t(s), 1).missing.is_empty() {
+            root.scan(&mut kv, t(s), 1, &mut report);
+            if !report.missing.is_empty() {
                 detected_at = Some(s);
                 break;
             }
@@ -487,7 +507,7 @@ mod tests {
         // ...and notice it gone at t=35 (TTL 15 after last renewal).
         assert!(!w.root_alive(&mut kv, t(35)));
         assert!(root3.campaign(&mut kv, t(36)).unwrap());
-        assert!(root3.is_leader(&mut kv, t(36)));
+        assert_eq!(root3.leader(&mut kv, t(36)), Some("machine-3"));
     }
 
     #[test]
@@ -498,7 +518,9 @@ mod tests {
         // The process stalls 40 s (lease long gone), then resumes.
         w.heartbeat(&mut kv, t(40)).unwrap();
         let root = RootAgent::new("r", &cfg());
-        assert!(root.scan(&mut kv, t(41), 2).alive.contains(&1));
+        let mut report = ScanReport::default();
+        root.scan(&mut kv, t(41), 2, &mut report);
+        assert!(report.alive.contains(&1));
     }
 
     #[test]
@@ -508,7 +530,9 @@ mod tests {
         w.register(&mut kv, t(0)).unwrap();
         w.deregister(&mut kv, t(1)).unwrap();
         let root = RootAgent::new("r", &cfg());
-        assert_eq!(root.scan(&mut kv, t(1), 1).missing, vec![0]);
+        let mut report = ScanReport::default();
+        root.scan(&mut kv, t(1), 1, &mut report);
+        assert_eq!(report.missing, vec![0]);
     }
 
     /// The `format!` encoder the byte-level codec replaced, kept as the
@@ -746,7 +770,8 @@ mod tests {
             w.register(&mut kv, t(0)).unwrap();
         }
         let root = RootAgent::new("r", &cfg());
-        let report = root.scan(&mut kv, t(1), 4);
+        let mut report = ScanReport::default();
+        root.scan(&mut kv, t(1), 4, &mut report);
         assert_eq!(report.alive, vec![0, 1]);
         assert_eq!(report.missing, vec![2, 3]);
         assert_eq!(report.out_of_range, vec![7, 12]);
@@ -755,12 +780,102 @@ mod tests {
         let mut kv2 = KvStore::new().with_telemetry(sink.clone());
         let mut w = WorkerAgent::new(9, 9, cfg());
         w.register(&mut kv2, t(0)).unwrap();
-        root.scan(&mut kv2, t(1), 4);
+        root.scan(&mut kv2, t(1), 4, &mut report);
         let snap = sink.metrics_snapshot();
         assert_eq!(
             snap.counter(gemini_telemetry::Key::plain("kv.scan_out_of_range")),
             1
         );
+    }
+
+    /// The allocating scan the reused report replaced: fresh rank lists
+    /// on every call, kept as the reference [`RootAgent::scan`] must
+    /// match.
+    fn reference_scan(kv: &mut KvStore, now: SimTime, n: usize) -> ScanReport {
+        let mut out_of_range = Vec::new();
+        let mut present = vec![false; n];
+        kv.for_each_in_range(now, HEALTH_PREFIX, |_, v| {
+            if let Some(h) = HealthStatus::decode(&v.value) {
+                if h.rank < n {
+                    present[h.rank] = true;
+                } else {
+                    out_of_range.push(h.rank);
+                }
+            }
+        });
+        let (alive, missing) = (0..n).partition(|&r| present[r]);
+        out_of_range.sort_unstable();
+        out_of_range.dedup();
+        ScanReport {
+            alive,
+            missing,
+            out_of_range,
+            present: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_reused_report_matches_a_fresh_scan_after_every_change() {
+        // One report carried through a lease expiry, a re-registration,
+        // pollution under the health prefix and a changing `n`: a buffer
+        // that is not cleared shows up as a rank the reference does not
+        // report.
+        fn check(root: &RootAgent, kv: &mut KvStore, s: u64, n: usize, report: &mut ScanReport) {
+            root.scan(kv, t(s), n, report);
+            assert_eq!(*report, reference_scan(kv, t(s), n), "t={s}, n={n}");
+        }
+        let mut kv = KvStore::new();
+        let mut workers: Vec<WorkerAgent> = (0..6)
+            .map(|r| WorkerAgent::new(r, r as u64, cfg()))
+            .collect();
+        for w in &mut workers {
+            w.register(&mut kv, t(0)).unwrap();
+        }
+        let root = RootAgent::new("r", &cfg());
+        let mut report = ScanReport::default();
+        check(&root, &mut kv, 1, 6, &mut report);
+        // Rank 4 stops beating after registering at t = 0, so its lease
+        // lapses at t = 15.
+        for s in [5, 10] {
+            for w in workers.iter_mut().filter(|w| w.rank() != 4) {
+                w.heartbeat(&mut kv, t(s)).unwrap();
+            }
+            check(&root, &mut kv, s, 6, &mut report);
+        }
+        check(&root, &mut kv, 15, 6, &mut report);
+        assert_eq!(report.missing, vec![4]);
+        // The wedged worker re-registers.
+        workers[4].heartbeat(&mut kv, t(16)).unwrap();
+        check(&root, &mut kv, 16, 6, &mut report);
+        assert!(report.missing.is_empty());
+        // A stale key with an out-of-range rank.
+        kv.put(t(17), "gemini/health/stale", "9:9:9", None).unwrap();
+        check(&root, &mut kv, 17, 6, &mut report);
+        assert_eq!(report.out_of_range, vec![9]);
+        // A corrupt value is ignored.
+        kv.put(t(18), "gemini/health/corrupt", "1:2:3:junk", None)
+            .unwrap();
+        check(&root, &mut kv, 18, 6, &mut report);
+        // Foreign keys repeating an in-range and an out-of-range rank.
+        kv.put(t(19), "gemini/health/foreign", "2:77:1", None)
+            .unwrap();
+        kv.put(t(19), "gemini/health/foreign9", "9:1:1", None)
+            .unwrap();
+        check(&root, &mut kv, 19, 6, &mut report);
+        assert_eq!(report.out_of_range, vec![9]);
+        // The expected set shrinks, then grows past the registered ranks.
+        check(&root, &mut kv, 19, 3, &mut report);
+        assert_eq!(report.out_of_range, vec![3, 4, 5, 9]);
+        check(&root, &mut kv, 19, 8, &mut report);
+        assert_eq!(report.missing, vec![6, 7]);
+        // The pollution goes away; so does the lapsed lease's rank when
+        // nobody else beats past t = 25.
+        kv.delete(t(20), "gemini/health/stale").unwrap();
+        kv.delete(t(20), "gemini/health/foreign9").unwrap();
+        check(&root, &mut kv, 20, 6, &mut report);
+        assert!(report.out_of_range.is_empty());
+        check(&root, &mut kv, 25, 6, &mut report);
+        assert_eq!(report.alive, vec![2, 4]);
     }
 
     #[test]

@@ -70,7 +70,7 @@
 use crate::scenario::Deployment;
 use gemini_baselines::competing::scheme_signals;
 use gemini_cluster::{CloudOperator, FailureKind, OperatorConfig};
-use gemini_core::agents::{RootAgent, WorkerAgent};
+use gemini_core::agents::{RootAgent, ScanReport, WorkerAgent};
 use gemini_core::policy::{
     ModeSignals, PolicyEngine, PolicyKnobs, PolicySignals, PolicySpec, RecoveryMode, SchemeChoice,
     SchemeSignals, TierPreference,
@@ -973,6 +973,12 @@ struct ChaosModel {
     max_leaders: usize,
     leader_changes: u64,
     last_leader: Option<String>,
+    /// For each root candidate, the first candidate rank with the same
+    /// identity: the rank [`RootAgent::elect`] reports when that identity
+    /// holds the election key.
+    root_alias: Vec<usize>,
+    /// The health scan's report, refilled on every coordination tick.
+    scan: ScanReport,
     /// Lane of ranks already counted as spurious detections.
     spurious: Vec<bool>,
     spurious_count: u64,
@@ -1690,35 +1696,39 @@ impl ChaosModel {
         }
         // One read of the election key serves every campaign and the
         // census (invariant 1): the live candidates whose identity is the
-        // key's holder after the round.
+        // key's holder after the round. Two candidates sharing an identity
+        // would both lead; `root_alias` resolved identities to ranks at
+        // launch, so the census compares ranks, not strings.
         let holder = RootAgent::elect(&mut self.roots[..candidates], &mut self.kv, now, |rank| {
             self.down[rank].is_none() && now >= self.muted_until[rank]
         });
-        let elected = holder.map(|rank| self.roots[rank].identity());
-        let leaders: Vec<usize> = (0..candidates)
-            .filter(|rank| live(rank) && elected == Some(self.roots[*rank].identity()))
-            .collect();
-        self.max_leaders = self.max_leaders.max(leaders.len());
-        if leaders.len() > 1 {
+        let mut leaders = 0;
+        let mut leader = None;
+        for rank in 0..candidates {
+            if live(&rank) && holder == Some(self.root_alias[rank]) {
+                leaders += 1;
+                leader.get_or_insert(rank);
+            }
+        }
+        self.max_leaders = self.max_leaders.max(leaders);
+        if leaders > 1 {
             self.violations.push(format!(
-                "{} concurrent leaders at t={:.0}s",
-                leaders.len(),
+                "{leaders} concurrent leaders at t={:.0}s",
                 now.as_secs_f64()
             ));
         }
-        let Some(&leader) = leaders.first() else {
+        let Some(leader) = leader else {
             return; // leaderless gap (lease not yet expired): no scan
         };
-        let identity = self.roots[leader].identity().to_string();
-        if self.last_leader.as_deref() != Some(identity.as_str()) {
+        let identity = self.roots[leader].identity();
+        if self.last_leader.as_deref() != Some(identity) {
             if self.last_leader.is_some() {
                 self.leader_changes += 1;
             }
-            self.last_leader = Some(identity);
+            self.last_leader = Some(identity.to_string());
         }
-        // Scan and advance confirmation streaks. The report's rank lists
-        // are iterated directly (missing applied after alive, so a rank
-        // somehow present in both still counts as missing) rather than
+        // Scan into the reused report and advance confirmation streaks.
+        // The report's rank lists are iterated directly rather than
         // probing `contains` per rank — that inner probe made the tick
         // O(n^2) and dominated fleet-scale runs at n = 10,000.
         let n = self.sys.cluster.len();
@@ -1727,17 +1737,21 @@ impl ChaosModel {
         } else {
             CONFIRM_TICKS
         };
-        let report = self.roots[leader].scan(&mut self.kv, now, n);
-        for &rank in &report.alive {
+        self.roots[leader].scan(&mut self.kv, now, n, &mut self.scan);
+        for &rank in &self.scan.alive {
             self.streak[rank] = 0;
         }
-        for &rank in &report.missing {
-            self.streak[rank] = self.streak[rank].saturating_add(1);
+        if self.scan.missing.is_empty() {
+            return; // every streak is 0: nothing can confirm
         }
-        // Record the confirmation instant once per real failure: the
-        // flight recorder's Detect phase and the per-plan
-        // detection-latency histogram both hang off this event.
-        for rank in 0..n {
+        // Only missing ranks have a streak now. `missing` is ascending, so
+        // confirmations are traced in rank order. Record the confirmation
+        // instant once per real failure: the flight recorder's Detect
+        // phase and the per-plan detection-latency histogram both hang
+        // off this event.
+        for i in 0..self.scan.missing.len() {
+            let rank = self.scan.missing[i];
+            self.streak[rank] = self.streak[rank].saturating_add(1);
             if self.streak[rank] >= confirm_ticks
                 && self.down[rank].is_some()
                 && !self.confirm_noted[rank]
@@ -1754,7 +1768,11 @@ impl ChaosModel {
                 );
             }
         }
-        let confirmed: Vec<usize> = (0..n)
+        let confirmed: Vec<usize> = self
+            .scan
+            .missing
+            .iter()
+            .copied()
             .filter(|&r| self.streak[r] >= confirm_ticks && !self.handled[r])
             .collect();
         if confirmed.is_empty() {
@@ -2020,16 +2038,15 @@ impl Model for ChaosModel {
             }
             Ev::Churn { remaining, period } => {
                 let now = ctx.now();
-                if !self.kv_out(now) {
-                    let mut leader = None;
-                    for rank in 0..self.roots.len().min(ROOT_CANDIDATES) {
-                        if self.down[rank].is_none()
-                            && self.roots[rank].is_leader(&mut self.kv, now)
-                        {
-                            leader = Some(rank);
-                            break;
-                        }
-                    }
+                let candidates = self.roots.len().min(ROOT_CANDIDATES);
+                let live = |rank: &usize| self.down[*rank].is_none();
+                if !self.kv_out(now) && (0..candidates).any(|rank| live(&rank)) {
+                    // One read of the election key, matched against the
+                    // live candidates' identities.
+                    let leader = self.roots[0].leader(&mut self.kv, now).and_then(|held| {
+                        (0..candidates)
+                            .find(|rank| live(rank) && self.roots[*rank].identity() == held)
+                    });
                     if let Some(rank) = leader {
                         let _ = self.roots[rank].resign(&mut self.kv, now);
                         self.muted_until[rank] = now + CHURN_MUTE;
@@ -2432,6 +2449,16 @@ pub(crate) fn execute_chaos(
     let roots: Vec<RootAgent> = (0..n)
         .map(|r| RootAgent::new(&format!("machine-{r}"), &gcfg))
         .collect();
+    let candidates = &roots[..n.min(ROOT_CANDIDATES)];
+    let root_alias = candidates
+        .iter()
+        .map(|root| {
+            candidates
+                .iter()
+                .position(|other| other.identity() == root.identity())
+                .expect("a candidate matches itself")
+        })
+        .collect();
 
     // The cell label scopes per-run counters to this (plan, seed); interning
     // only matters when metrics are actually recorded, so skip the global
@@ -2484,6 +2511,8 @@ pub(crate) fn execute_chaos(
         max_leaders: 0,
         leader_changes: 0,
         last_leader: None,
+        root_alias,
+        scan: ScanReport::default(),
         spurious: vec![false; n],
         spurious_count: 0,
         retry_attempts: 0,

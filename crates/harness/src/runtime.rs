@@ -37,7 +37,7 @@ use std::collections::BTreeSet;
 use crate::scenario::{Deployment, GeminiSystem};
 use gemini_baselines::competing::scheme_signals;
 use gemini_cluster::{CloudOperator, FailureKind, OperatorConfig};
-use gemini_core::agents::{RootAgent, WorkerAgent};
+use gemini_core::agents::{RootAgent, ScanReport, WorkerAgent};
 use gemini_core::policy::{
     PolicyDecisionRecord, PolicyEngine, PolicyKnobs, PolicySpec, TierPreference,
 };
@@ -491,9 +491,13 @@ impl GeminiRuntime {
         // 1. Detection: the victims stop heartbeating; their leases lapse
         //    after the TTL and the root's scan notices.
         self.advance(gcfg.health_ttl);
-        let report = self
-            .root
-            .scan(&mut self.kv, self.clock, self.sys.cluster.len());
+        let mut report = ScanReport::default();
+        self.root.scan(
+            &mut self.kv,
+            self.clock,
+            self.sys.cluster.len(),
+            &mut report,
+        );
         debug_assert!(!report.missing.is_empty(), "lease must have lapsed");
 
         // Feed the confirmed failures to the adaptive engine. A failure is

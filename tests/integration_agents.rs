@@ -3,7 +3,7 @@
 //! survive a simulated failure and recovery.
 
 use gemini_cluster::FailureKind;
-use gemini_core::agents::{RootAgent, WorkerAgent};
+use gemini_core::agents::{RootAgent, ScanReport, WorkerAgent};
 use gemini_core::codec;
 use gemini_core::recovery::{RecoveryCase, RecoveryPlanner};
 use gemini_core::{GeminiConfig, HierarchicalStore, Placement};
@@ -70,6 +70,7 @@ fn full_coordination_and_byte_recovery_pipeline() {
     meta.machine_lost(5);
     bytes.machine_lost(5);
     let mut detected = None;
+    let mut report = ScanReport::default();
     for s in 1..60 {
         if s % 5 == 0 {
             for w in workers.iter_mut() {
@@ -79,7 +80,7 @@ fn full_coordination_and_byte_recovery_pipeline() {
             }
             root.campaign(&mut kv, t(s)).unwrap();
         }
-        let report = root.scan(&mut kv, t(s), n);
+        root.scan(&mut kv, t(s), n, &mut report);
         if report.missing == vec![5] {
             detected = Some(s);
             break;
@@ -148,6 +149,7 @@ fn root_failover_and_continued_detection() {
     // machine-0 leads; machines 0 AND 2 die at t = 10.
     let mut leader_history = Vec::new();
     let mut detected_missing: Option<Vec<usize>> = None;
+    let mut report = ScanReport::default();
     for s in 0..80u64 {
         for rank in 0..n {
             let dead = s >= 10 && (rank == 0 || rank == 2);
@@ -161,11 +163,11 @@ fn root_failover_and_continued_detection() {
         }
         for (rank, root) in roots.iter_mut().enumerate() {
             let dead = s >= 10 && (rank == 0 || rank == 2);
-            if !dead && root.is_leader(&mut kv, t(s)) {
+            if !dead && root.leader(&mut kv, t(s)) == Some(root.identity()) {
                 leader_history.push((s, rank));
-                let report = root.scan(&mut kv, t(s), n);
+                root.scan(&mut kv, t(s), n, &mut report);
                 if report.missing.len() == 2 && detected_missing.is_none() {
-                    detected_missing = Some(report.missing);
+                    detected_missing = Some(report.missing.clone());
                 }
             }
         }

@@ -289,6 +289,9 @@ fn control_plane_traffic_is_pinned() {
             ChaosPlan::kv_outage_blackout(),
             [7481, 2371, 2, 35, 18, 0, 2371],
         ),
+        // Each of the three root churns reads the election key once more
+        // to find the leader it kills.
+        (ChaosPlan::root_churn(), [7593, 2401, 4, 21, 1, 0, 2404]),
     ];
     let names = [
         "kv.heartbeats",
